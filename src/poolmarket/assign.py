@@ -3,8 +3,9 @@
 The pipeline has three stages: guided enumeration of vehicle/bundle
 options (a reachability filter, a pairwise shareability filter, then
 level-by-level bundle growth where every sub-bundle must already be
-feasible), exact minimization over the resulting options by LP-based
-branch and bound, and application of the chosen schedules to the fleet.
+feasible), exact minimization over the resulting options with the HiGHS
+MIP solver (scipy.optimize.milp), and application of the chosen
+schedules to the fleet.
 
 Current schedules are always injected as a starting solution, so the
 optimized total can never exceed the pre-optimization total.
@@ -19,7 +20,9 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from scipy.optimize import linprog
+import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .network import Network, NoPathError
 from .operators import (
@@ -35,9 +38,6 @@ from .operators import (
     schedule_cost,
 )
 
-# numeric safety slack when pruning on LP bounds; candidate values are
-# always recomputed exactly, so a loose slack only costs extra nodes
-_PRUNE_SLACK = 0.1
 _INT_TOL = 1e-6
 _TIE_TOL = 1e-9
 
@@ -439,18 +439,22 @@ def solve_ilp(problem: AssignmentProblem, initial_keys=None) -> AssignmentSoluti
     """Exact minimum-cost selection of options.
 
     Every required request is covered exactly once, optional requests at
-    most once, and every vehicle carries at most one option.  Solved by
-    depth-first branch and bound over LP relaxations; candidate values
-    are recomputed from the option costs directly, never read off the LP
-    objective, so equal solutions always produce the identical float.
-    initial_keys seeds the incumbent, which bounds the result from above.
+    most once, and every vehicle carries at most one option.  HiGHS
+    solves each model as an LP and again as a MIP, with a zero gap, only
+    when the LP optimum is fractional.  Values are recomputed from the
+    option costs in index order, never read off the solver, so equal
+    selections give the identical float.  initial_keys seeds the
+    incumbent: the result is never above it, and an equal total replaces
+    it only with smaller keys.
 
     Selections that tie in exact arithmetic can round to floats one ulp
-    apart, and the LP cannot tell those apart.  After the first optimum a
-    no-good cut excludes it and the remaining tie window is searched
-    again, until no strictly smaller float total exists.  The returned
-    objective is therefore the minimum over selections of the float sum
-    itself, which is what an exhaustive enumeration finds.
+    apart, which the solver cannot tell apart.  So the current best is
+    excluded by a no-good cut, the total is bounded by its float plus
+    _TIE_TOL, and the model is solved again, at most 64 times, until
+    nothing comes back or what does is not strictly smaller.  The result
+    is optimal within HiGHS's tolerances (zero relative gap, default
+    absolute gap 1e-6); among exact ties it is the smallest float the
+    sweep reaches, which can sit an ulp above the smallest of all.
     """
     vs = problem.v2rbs
     n = len(vs)
@@ -459,100 +463,80 @@ def solve_ilp(problem: AssignmentProblem, initial_keys=None) -> AssignmentSoluti
             raise InfeasibleAssignmentError(
                 f"no options but requests {list(problem.assigned_ids)} need serving")
         return AssignmentSolution([], 0.0, {})
-    costs = [z.cost for z in vs]
+    costs = np.array([z.cost for z in vs])
 
     def canon_value(sel):
         total = 0.0
         for j in sel:
-            total += costs[j]
+            total += vs[j].cost
         return total
 
-    a_eq = [[1.0 if rid in vs[j].bundle else 0.0 for j in range(n)]
-            for rid in problem.assigned_ids]
-    b_eq = [1.0] * len(a_eq)
-    base_ub = []
-    for vid in problem.vehicle_ids:
-        base_ub.append([1.0 if vs[j].vehicle_id == vid else 0.0
-                        for j in range(n)])
-    for rid in problem.optional_ids:
-        base_ub.append([1.0 if rid in vs[j].bundle else 0.0 for j in range(n)])
+    def keys(sel):
+        return tuple(vs[j].key() for j in sel)
 
-    def branch(extra_rows, extra_b, best_val, best_sel, slack):
-        a_ub = base_ub + extra_rows
-        b_ub = [1.0] * len(base_ub) + extra_b
-        stack = [{}]
-        explored = 0
-        while stack:
-            fixed = stack.pop()
-            explored += 1
-            if explored > 500000:
-                raise ConsistencyError("assignment search exploded")
-            bounds = [(0.0, 1.0)] * n
-            for j, v in fixed.items():
-                bounds[j] = (float(v), float(v))
-            res = linprog(costs, A_ub=a_ub or None, b_ub=b_ub or None,
-                          A_eq=a_eq or None, b_eq=b_eq or None,
-                          bounds=bounds, method="highs-ds")
+    # rows: required requests (== 1), then optional requests and vehicles (<= 1)
+    names = list(dict.fromkeys(problem.assigned_ids + problem.optional_ids))
+    names += [("vehicle", vid) for vid in problem.vehicle_ids]
+    row = {name: i for i, name in enumerate(names)}
+    rows, cols = zip(*[(row[name], j) for j, z in enumerate(vs)
+                       for name in (*z.bundle, ("vehicle", z.vehicle_id))])
+    lower = np.zeros(len(names))
+    lower[:len(problem.assigned_ids)] = 1.0
+    cover = LinearConstraint(sparse.csr_array(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(names), n)), lower, 1.0)
+
+    def best_selection(constraints):
+        """Indices of an optimal 0/1 selection, or None when none exists."""
+        for integral in (0, 1):
+            # presolve costs more than it saves on these small models
+            res = milp(costs, integrality=np.full(n, integral),
+                       bounds=Bounds(0.0, 1.0), constraints=constraints,
+                       options={"mip_rel_gap": 0.0, "presolve": False})
             if res.status == 2:
-                continue
+                return None
             if not res.success:
-                raise ConsistencyError(f"relaxation failed: {res.message}")
-            if best_val is not None and res.fun >= best_val + slack:
-                continue
-            x = res.x
-            frac = [j for j in range(n) if abs(x[j] - round(x[j])) > _INT_TOL]
-            if not frac:
-                sel = sorted(j for j in range(n) if x[j] > 0.5)
-                val = canon_value(sel)
-                if best_val is None or val < best_val:
-                    best_val, best_sel = val, sel
-                elif val == best_val and best_sel is not None:
-                    keys = tuple(vs[j].key() for j in sel)
-                    if keys < tuple(vs[j].key() for j in best_sel):
-                        best_sel = sel
-                continue
-            j_star = min(frac, key=lambda j: (abs(x[j] - 0.5), j))
-            down = dict(fixed)
-            down[j_star] = 0
-            up = dict(fixed)
-            up[j_star] = 1
-            stack.append(down)
-            stack.append(up)     # explore the include branch first
-        return best_val, best_sel
+                raise ConsistencyError(f"assignment solve failed: {res.message}")
+            if np.all(np.abs(res.x - np.round(res.x)) <= _INT_TOL):
+                break
+        return np.flatnonzero(res.x > 0.5).tolist()
 
-    best_val = None
-    best_sel = None
+    best_val = best_sel = None
     if initial_keys:
         index = {z.key(): j for j, z in enumerate(vs)}
         try:
-            sel = sorted(index[k] for k in initial_keys)
+            best_sel = sorted(index[k] for k in initial_keys)
         except KeyError as exc:
             raise ConsistencyError(f"starting option missing: {exc}") from exc
-        best_val = canon_value(sel)
-        best_sel = sel
+        best_val = canon_value(best_sel)
     elif not problem.assigned_ids:
-        best_val = 0.0
-        best_sel = []
+        best_val, best_sel = 0.0, []
 
-    best_val, best_sel = branch([], [], best_val, best_sel, _PRUNE_SLACK)
+    sel = best_selection([cover])
+    if sel is not None:
+        val = canon_value(sel)
+        if best_sel is None or (val, keys(sel)) < (best_val, keys(best_sel)):
+            best_val, best_sel = val, sel
     if best_sel is None:
         raise InfeasibleAssignmentError(
             "no feasible combination covers every required request")
 
-    cuts = []
-    cut_b = []
+    cuts, cut_ub = [], []
     for _ in range(64):
-        inside = set(best_sel)
-        cuts.append([1.0 if j in inside else -1.0 for j in range(n)])
-        cut_b.append(float(len(best_sel) - 1))
-        # passing best_sel=None means only a strictly smaller float
-        # total can come back; no improvement ends the sweep
-        val, sel = branch(cuts, cut_b, best_val, None, _TIE_TOL)
+        cut = np.full(n, -1.0)
+        cut[best_sel] = 1.0
+        cuts.append(cut)
+        cut_ub.append(len(best_sel) - 1.0)
+        sel = best_selection([
+            cover, LinearConstraint(np.array(cuts), -np.inf, cut_ub),
+            LinearConstraint(costs, -np.inf, best_val + _TIE_TOL)])
         if sel is None:
+            break
+        val = canon_value(sel)
+        if not val < best_val:
             break
         best_val, best_sel = val, sel
     chosen = [vs[j] for j in best_sel]
-    return AssignmentSolution(chosen, canon_value(best_sel),
+    return AssignmentSolution(chosen, best_val,
                               {z.vehicle_id: z for z in chosen})
 
 

@@ -7,6 +7,7 @@ failing config is fixable without reading this module.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import yaml
@@ -35,15 +36,35 @@ class _Source:
 
     def __init__(self, path, text: str):
         self.path = str(path)
-        self.lines = text.splitlines()
+        self.text = text
 
     def fail(self, keypath: str, problem: str):
-        key = keypath.split(".")[-1].split("[")[0]
-        for no, line in enumerate(self.lines, start=1):
-            if line.lstrip().startswith(key + ":"):
-                raise ConfigError(
-                    f"{self.path}:{no}: {keypath}: {problem}")
-        raise ConfigError(f"{self.path}: {keypath}: {problem}")
+        line = self.line_of(keypath)
+        where = self.path if line is None else f"{self.path}:{line}"
+        raise ConfigError(f"{where}: {keypath}: {problem}")
+
+    def line_of(self, keypath: str):
+        """1-based line of the deepest node keypath reaches; None at the root.
+
+        A key the document lacks is skipped, so a network file without the
+        `network:` wrapper still resolves `network.edges[3]`.
+        """
+        node = yaml.compose(self.text, Loader=yaml.SafeLoader)
+        line = None
+        for key, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", keypath):
+            if key and isinstance(node, yaml.MappingNode):
+                hits = [(k, v) for k, v in node.value if k.value == key]
+                if not hits:
+                    continue
+                key_node, node = hits[-1]      # the last duplicate wins
+                line = key_node.start_mark.line + 1
+            elif (index and isinstance(node, yaml.SequenceNode)
+                  and int(index) < len(node.value)):
+                node = node.value[int(index)]
+                line = node.start_mark.line + 1
+            else:
+                break
+        return line
 
 
 def load_file(path) -> tuple[dict, _Source]:
@@ -69,19 +90,34 @@ def _reject_unknown(mapping, allowed, where, src):
                      "unknown key")
 
 
-def _opt(mapping, key, kind, default, where, src):
-    if key not in mapping or mapping[key] is None:
-        return default
-    value = mapping[key]
+def _cast(value, kind, keypath, src):
     try:
         if kind is bool:
             if not isinstance(value, bool):
                 raise TypeError
             return value
         return kind(value)
-    except (TypeError, ValueError):
-        src.fail(f"{where}.{key}" if where else key,
-                 f"expected {kind.__name__}, got {value!r}")
+    except (TypeError, ValueError, OverflowError):
+        src.fail(keypath, f"expected {kind.__name__}, got {value!r}")
+
+
+def _opt(mapping, key, kind, default, where, src):
+    if key not in mapping or mapping[key] is None:
+        return default
+    return _cast(mapping[key], kind, f"{where}.{key}" if where else key, src)
+
+
+def _cast_list(values, kind, keypath, src):
+    if not isinstance(values, list):
+        src.fail(keypath, f"expected a list, got {values!r}")
+    return [_cast(v, kind, f"{keypath}[{i}]", src) for i, v in enumerate(values)]
+
+
+def _section(doc, key, src) -> dict:
+    spec = doc.get(key) or {}
+    if not isinstance(spec, dict):
+        src.fail(key, "expected a mapping")
+    return spec
 
 
 def _need(mapping, key, where, src):
@@ -106,9 +142,17 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
         # count shorthand: ids 0..n-1 laid out on a line
         nodes = {i: (float(i), 0.0) for i in range(raw_nodes)}
     elif isinstance(raw_nodes, dict):
-        nodes = {int(k): tuple(v) for k, v in raw_nodes.items()}
+        nodes = {_cast(k, int, "network.nodes", src):
+                 tuple(_cast_list(v, float, f"network.nodes.{k}", src))
+                 for k, v in raw_nodes.items()}
     elif isinstance(raw_nodes, list):
-        nodes = {int(r[0]): (r[1], r[2]) for r in raw_nodes}
+        nodes = {}
+        for i, row in enumerate(raw_nodes):
+            where = f"network.nodes[{i}]"
+            if not isinstance(row, list) or len(row) != 3:
+                src.fail(where, "expected [id, x, y]")
+            nodes[_cast(row[0], int, where, src)] = tuple(
+                _cast_list(row[1:], float, where, src))
     else:
         src.fail("network.nodes", "expected count, mapping or list")
     edges = _need(spec, "edges", "network", src)
@@ -120,14 +164,22 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
                      "expected [u, v, meters, seconds]")
     zones = spec.get("zones")
     if zones is not None:
-        zones = {int(k): int(v) for k, v in zones.items()}
+        if not isinstance(zones, dict):
+            src.fail("network.zones", "expected a mapping of node to zone")
+        zones = {_cast(k, int, "network.zones", src):
+                 _cast(v, int, f"network.zones.{k}", src)
+                 for k, v in zones.items()}
     profile = None
     if spec.get("profile") is not None:
         p = spec["profile"]
+        if not isinstance(p, dict):
+            src.fail("network.profile", "expected a mapping")
         _reject_unknown(p, {"factors", "interval_s"}, "network.profile", src)
         profile = TravelTimeProfile(
-            tuple(p.get("factors", (1.0,))),
-            interval_s=float(p.get("interval_s", 900.0)))
+            tuple(_cast_list(p.get("factors", [1.0]), float,
+                             "network.profile.factors", src)),
+            interval_s=_opt(p, "interval_s", float, 900.0,
+                            "network.profile", src))
     try:
         return Network(nodes, [tuple(e) for e in edges], zones=zones,
                        profile=profile)
@@ -136,7 +188,7 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
 
 
 def _build_constraints(doc, src) -> Constraints:
-    spec = doc.get("constraints") or {}
+    spec = _section(doc, "constraints", src)
     _reject_unknown(spec, {"capacity", "max_wait_s", "max_detour_rel",
                            "dwell_s"}, "constraints", src)
     return Constraints(
@@ -148,7 +200,7 @@ def _build_constraints(doc, src) -> Constraints:
 
 
 def _build_econ(doc, src) -> EconParams:
-    spec = doc.get("econ") or {}
+    spec = _section(doc, "econ", src)
     _reject_unknown(spec, {"fare_eur_per_km", "vehicle_cost_eur_per_day",
                            "distance_cost_eur_per_km",
                            "no_service_penalty_eur"}, "econ", src)
@@ -171,39 +223,42 @@ def _build_operator(spec, i, src) -> OperatorConfig:
                            "c_vot_eur_per_h", "assignment_reward_eur",
                            "start_nodes"}, where, src)
     fleet = _need(spec, "fleet_size", where, src)
-    reward = spec.get("assignment_reward_eur")
     starts = spec.get("start_nodes")
     return OperatorConfig(
-        fleet_size=int(fleet),
+        fleet_size=_cast(fleet, int, f"{where}.fleet_size", src),
         c_dis_eur_per_km=_opt(spec, "c_dis_eur_per_km", float, 0.25,
                               where, src),
         c_vot_eur_per_h=_opt(spec, "c_vot_eur_per_h", float, 16.2,
                              where, src),
-        assignment_reward_eur=None if reward is None else float(reward),
-        start_nodes=None if starts is None else [int(n) for n in starts])
+        assignment_reward_eur=_opt(spec, "assignment_reward_eur", float,
+                                   None, where, src),
+        start_nodes=None if starts is None else _cast_list(
+            starts, int, f"{where}.start_nodes", src))
 
 
 def _build_demand(doc, src, base_dir):
-    spec = doc.get("demand") or {}
+    spec = _section(doc, "demand", src)
     _reject_unknown(spec, {"rate_per_hour", "trips_file", "trips"},
                     "demand", src)
     given = [k for k in ("rate_per_hour", "trips_file", "trips") if k in spec]
     if len(given) > 1:
         src.fail("demand", f"choose one of {given}")
     if "trips" in spec:
+        if not isinstance(spec["trips"], list):
+            src.fail("demand.trips", "expected a list of trips")
         trips = []
         for i, row in enumerate(spec["trips"]):
+            where = f"demand.trips[{i}]"
             if not isinstance(row, (list, tuple)) or len(row) not in (4, 5):
-                src.fail(f"demand.trips[{i}]",
-                         "expected [id, t_req_s, origin, destination]")
-            dur = float(row[4]) if len(row) == 5 else None
-            trips.append(RawTrip(int(row[0]), float(row[1]), int(row[2]),
-                                 int(row[3]), dur))
+                src.fail(where, "expected [id, t_req_s, origin, destination]")
+            tid, t, o, d, *dur = [_cast(v, kind, where, src) for v, kind
+                                  in zip(row, (int, float, int, int, float))]
+            trips.append(RawTrip(tid, t, o, d, dur[0] if dur else None))
         return trips, None
     if "trips_file" in spec:
         return read_trip_rows(base_dir / spec["trips_file"]), None
     if "rate_per_hour" in spec:
-        return None, float(spec["rate_per_hour"])
+        return None, _opt(spec, "rate_per_hour", float, None, "demand", src)
     return None, None
 
 
@@ -234,8 +289,7 @@ def build_simulation(doc: dict, src: _Source, base_dir) -> SimulationConfig:
                                 "", src),
         reposition_enabled=_opt(doc, "reposition_enabled", bool, True,
                                 "", src),
-        per_vehicle_cap=(None if doc.get("per_vehicle_cap") is None
-                         else int(doc["per_vehicle_cap"])))
+        per_vehicle_cap=_opt(doc, "per_vehicle_cap", int, None, "", src))
 
 
 def build_game(doc: dict, src: _Source, base_dir) -> GameConfig:
@@ -253,22 +307,32 @@ def build_game(doc: dict, src: _Source, base_dir) -> GameConfig:
                                       oc.c_vot_eur_per_h)
                        for oc in base.operators)
     else:
+        if not isinstance(raw, list):
+            src.fail("game.initial_params", "expected a list of mappings")
         params = []
         for i, p in enumerate(raw):
             where = f"game.initial_params[{i}]"
             if not isinstance(p, dict) or "fleet_size" not in p:
                 src.fail(where, "expected a mapping with fleet_size")
             params.append(OperatorParams(
-                int(p["fleet_size"]),
-                float(p.get("c_dis_eur_per_km", 0.25)),
-                float(p.get("c_vot_eur_per_h", 16.2))))
+                _cast(p["fleet_size"], int, f"{where}.fleet_size", src),
+                _opt(p, "c_dis_eur_per_km", float, 0.25, where, src),
+                _opt(p, "c_vot_eur_per_h", float, 16.2, where, src)))
         params = tuple(params)
     opts = spec.get("objective_options")
     if opts is None:
         options = tuple(sorted({p.objective() for p in params},
                                key=lambda o: (-o[1], o[0])))
     else:
-        options = tuple((float(a), float(b)) for a, b in opts)
+        if not isinstance(opts, list):
+            src.fail("game.objective_options", "expected a list of pairs")
+        options = []
+        for i, pair in enumerate(opts):
+            where = f"game.objective_options[{i}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                src.fail(where, "expected [c_dis_eur_per_km, c_vot_eur_per_h]")
+            options.append(tuple(_cast_list(pair, float, where, src)))
+        options = tuple(options)
     return GameConfig(
         base=base, initial_params=params,
         fleet_step=_opt(spec, "fleet_step", int, 2, "game", src),
@@ -293,16 +357,19 @@ def build_calibration(doc: dict, src: _Source, base_dir) -> dict:
     if isinstance(sizes, dict):
         _reject_unknown(sizes, {"start", "stop", "step"},
                         "calibration.fleet_sizes", src)
-        sizes = list(range(int(sizes.get("start", 1)),
-                           int(_need(sizes, "stop",
-                                     "calibration.fleet_sizes", src)) + 1,
-                           int(sizes.get("step", 1))))
+        where = "calibration.fleet_sizes"
+        stop = _cast(_need(sizes, "stop", where, src), int, f"{where}.stop", src)
+        step = _opt(sizes, "step", int, 1, where, src)
+        if step < 1:
+            src.fail(f"{where}.step", "must be at least 1")
+        sizes = list(range(_opt(sizes, "start", int, 1, where, src), stop + 1,
+                           step))
     elif not isinstance(sizes, list):
         src.fail("calibration.fleet_sizes",
                  "expected a list or {start, stop, step}")
     return {
         "base": base,
-        "fleet_sizes": [int(n) for n in sizes],
+        "fleet_sizes": _cast_list(sizes, int, "calibration.fleet_sizes", src),
         "target_service_rate": _opt(spec, "target_service_rate", float,
                                     0.9, "calibration", src),
         "p_no_step_eur": _opt(spec, "p_no_step_eur", float, 0.01,

@@ -38,10 +38,6 @@ class Request:
     direct_distance_m: float
     direct_time_s: float
 
-    @property
-    def latest_pickup(self):
-        raise AttributeError("deadline depends on operator constraints")
-
 
 SPEED_MIN_MPS = 1.0
 SPEED_MAX_MPS = 30.0

@@ -15,14 +15,11 @@ dominates any distance or delay term.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field, replace
 
 from .demand import Request
 from .network import Network
-
-LOG = logging.getLogger(__name__)
 
 
 class BookingError(RuntimeError):
@@ -95,9 +92,6 @@ class Schedule:
     distance_m: float
     arrival_by_request: dict[int, float]
     pickup_by_request: dict[int, float]
-
-    def specs(self) -> list[StopSpec]:
-        return [StopSpec(s.node, s.board, s.alight) for s in self.stops]
 
 
 @dataclass(frozen=True)

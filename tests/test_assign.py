@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from poolmarket.assign import (
+    _TIE_TOL,
     InfeasibleAssignmentError,
     V2RB,
     build_problem,
@@ -195,6 +197,48 @@ def test_solver_closes_fractional_gap():
     assert sol.objective == ref[0]
     covered = sorted(rid for z in sol.chosen for rid in z.bundle)
     assert covered == [1, 2, 3]
+
+
+def tie_table(seed):
+    """Options of k requests costing k * c - 10 k, c from a set whose sums tie.
+
+    Sums such as 0.1 + 0.2 and 0.3 are equal in exact arithmetic but one
+    ulp apart in floats, so many selections tie or nearly tie.  The
+    requests of a random disjoint incumbent are required, the rest
+    optional.
+    """
+    rng = random.Random(seed)
+    rids = list(range(1, rng.randint(4, 6) + 1))
+    vids = list(range(rng.randint(2, 4)))
+    table = {}
+    for v in vids:
+        for k in (1, 2, 3):
+            for b in rng.sample(list(combinations(rids, k)), 3):
+                table[(v, b)] = k * rng.choice((0.1, 0.2, 0.3, 0.4, 0.6, 0.7)) - 10 * k
+    incumbent, used = [], set()
+    for key in rng.sample(sorted(table), len(table)):
+        if key[0] not in {v for v, _ in incumbent} and not used & set(key[1]):
+            incumbent.append(key)
+            used |= set(key[1])
+    return table, vids, rids, sorted(incumbent)
+
+
+def test_solver_on_float_ties_stays_near_oracle_and_below_incumbent():
+    for seed in range(60):
+        table, vids, rids, incumbent = tie_table(seed)
+        required = sorted({rid for _, b in incumbent for rid in b})
+        optional = [rid for rid in rids if rid not in required]
+        options = [opt(v, b, cost) for (v, b), cost in table.items()]
+        problem = build_problem(options, required, optional, vids)
+        sol = solve_ilp(problem, initial_keys=incumbent)
+        ref = oracle_assignment(table, vids, required, optional)
+        assert abs(sol.objective - ref[0]) <= _TIE_TOL, seed
+        start = 0.0
+        for key in incumbent:
+            start += table[key]
+        assert sol.objective <= start, seed
+        again = solve_ilp(problem, initial_keys=incumbent)
+        assert [z.key() for z in again.chosen] == [z.key() for z in sol.chosen]
 
 
 def test_uncovered_request_is_reported():

@@ -55,6 +55,69 @@ def test_validate_names_bad_key_and_line(tmp_path, capsys):
     assert re.search(r":\d+: horizzon_s", err)
 
 
+def _one_line_error(err, path, keypath):
+    """Line number of a single `file:line: keypath: problem` message."""
+    m = re.fullmatch(rf"error: {re.escape(str(path))}:(\d+): "
+                     rf"{re.escape(keypath)}: [^\n]+\n", err)
+    assert m, err
+    return int(m.group(1))
+
+
+@pytest.mark.parametrize("keypath, edit, needle", [
+    ("operators[0].fleet_size",
+     lambda t: t.replace("- fleet_size: 1", "- fleet_size: abc"), "abc"),
+    ("operators[0].fleet_size",
+     lambda t: t.replace("- fleet_size: 1", "- fleet_size: .inf"), ".inf"),
+    ("operators[0].assignment_reward_eur",
+     lambda t: t.replace("    start_nodes: [0]\n", "    start_nodes: [0]\n"
+                         "    assignment_reward_eur: lots\n"), "lots"),
+    ("operators[0].start_nodes[0]",
+     lambda t: t.replace("start_nodes: [0]", "start_nodes: [depot]"), "depot"),
+    ("per_vehicle_cap", lambda t: t + "per_vehicle_cap: many\n", "many"),
+    ("demand.rate_per_hour",
+     lambda t: t.split("demand:")[0] + "demand:\n  rate_per_hour: busy\n",
+     "busy"),
+    ("network.zones.0",
+     lambda t: t.replace("  edges:\n", "  zones: {0: north}\n  edges:\n"),
+     "north"),
+    ("game.initial_params[1].fleet_size",
+     lambda t: t + ("game:\n  initial_params:\n    - {fleet_size: 1}\n"
+                    "    - {fleet_size: two}\n"), "two"),
+    ("game.objective_options[0][1]",
+     lambda t: t + "game:\n  objective_options:\n    - [0.25, fast]\n",
+     "fast"),
+])
+def test_wrong_value_types_exit_two_naming_file_line_and_key(
+        tmp_path, capsys, keypath, edit, needle):
+    p = tmp_path / "bad.yaml"
+    p.write_text(edit(line_config()))
+    assert main(["validate", str(p)]) == 2
+    no = _one_line_error(capsys.readouterr().err, p, keypath)
+    assert needle in p.read_text().splitlines()[no - 1]
+
+
+def test_errors_in_list_items_point_at_their_own_line(tmp_path, capsys):
+    p = tmp_path / "two.yaml"
+    text = line_config().replace(
+        "operators:\n  - fleet_size: 1\n    start_nodes: [0]\n",
+        "operators:\n"
+        "  - fleet_size: 1\n"
+        "    c_vot_eur_per_h: 16.2\n"
+        "  - c_vot_eur_per_h: fast\n"
+        "    fleet_size: 1\n"
+        "  - fleet_size: 1\n"
+        "    c_dis_eur_per_km: [far]\n")
+    lines = text.splitlines()
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    no = _one_line_error(capsys.readouterr().err, p, "operators[1].c_vot_eur_per_h")
+    assert lines[no - 1] == "  - c_vot_eur_per_h: fast"
+    p.write_text(text.replace("fast", "8.1"))
+    assert main(["validate", str(p)]) == 2
+    no = _one_line_error(capsys.readouterr().err, p, "operators[2].c_dis_eur_per_km")
+    assert lines[no - 1] == "    c_dis_eur_per_km: [far]"
+
+
 def test_missing_network_file_is_config_error(tmp_path, capsys):
     p = tmp_path / "cfg.yaml"
     p.write_text("network_file: nowhere.yaml\n"
