@@ -36,7 +36,6 @@ from .operators import (
     Operator,
     StopSpec,
     Vehicle,
-    check_feasibility,
     default_assignment_reward,
     plan_stop_sequence,
     schedule_cost,
@@ -50,7 +49,6 @@ from .assign import (
     dump_problem,
     enumerate_v2rbs,
     load_problem,
-    pair_shareable,
     reoptimize,
     solve_ilp,
 )
@@ -94,11 +92,11 @@ __all__ = [
     "DemandError", "Forecast", "RawTrip", "Request", "build_forecast",
     "generate_trips", "ingest_requests", "read_trip_rows", "write_trip_rows",
     "Constraints", "ConsistencyError", "ObjectiveParams", "Offer", "Operator",
-    "StopSpec", "Vehicle", "check_feasibility", "default_assignment_reward",
+    "StopSpec", "Vehicle", "default_assignment_reward",
     "plan_stop_sequence", "schedule_cost",
     "AssignmentProblem", "AssignmentSolution", "InfeasibleAssignmentError",
     "V2RB", "build_problem", "dump_problem", "enumerate_v2rbs",
-    "load_problem", "pair_shareable", "reoptimize", "solve_ilp",
+    "load_problem", "reoptimize", "solve_ilp",
     "SCENARIOS", "DispatchError", "decide", "dispatch_request",
     "EconParams", "ProfitBreakdown", "compute_effective_profit",
     "compute_profit",

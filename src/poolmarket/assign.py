@@ -1,11 +1,10 @@
 """Bundle enumeration and exact assignment for fleet re-optimization.
 
 The pipeline has three stages: guided enumeration of vehicle/bundle
-options (a reachability filter, a pairwise shareability filter, then
-level-by-level bundle growth where every sub-bundle must already be
-feasible), exact minimization over the resulting options with the HiGHS
-MIP solver (scipy.optimize.milp), and application of the chosen
-schedules to the fleet.
+options (a reachability filter, then level-by-level bundle growth where
+every sub-bundle must already be feasible), exact minimization over the
+resulting options with the HiGHS MIP solver (scipy.optimize.milp), and
+application of the chosen schedules to the fleet.
 
 Current schedules are always injected as a starting solution, so the
 optimized total can never exceed the pre-optimization total.
@@ -24,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .network import Network, NoPathError
+from .network import Network
 from .operators import (
     ConsistencyError,
     Constraints,
@@ -32,7 +31,7 @@ from .operators import (
     Schedule,
     StopSpec,
     Vehicle,
-    check_feasibility,
+    confirm_schedule,
     plan_stop_sequence,
     resume_point,
     schedule_cost,
@@ -69,7 +68,7 @@ class V2RB:
         return (self.vehicle_id, tuple(sorted(self.bundle)))
 
 
-# -- shareability filters ------------------------------------------------
+# -- reachability filter -------------------------------------------------
 
 
 def _reachable(network: Network, vehicle: Vehicle, request, constraints: Constraints,
@@ -79,76 +78,6 @@ def _reachable(network: Network, vehicle: Vehicle, request, constraints: Constra
     node, t_ready = resume_point(vehicle, network, now)
     earliest = t_ready + network.base_travel_time(node, request.origin) * min_fac
     return earliest <= request.t_req_s + constraints.max_wait_s + 1e-9
-
-
-_PAIR_ORDERS = (
-    (0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1),
-    (2, 0, 1, 3), (2, 0, 3, 1), (2, 3, 0, 1),
-)
-
-
-def pair_shareable(network: Network, ra, rb, constraints: Constraints,
-                   min_fac: float | None = None) -> bool:
-    """Could one vehicle serve both requests, start position free?
-
-    Each stop interleaving is checked as a difference-constraint system:
-    stop times may include waiting, legs take at least the direct travel
-    time at the smallest profile factor, pickups sit inside their wait
-    window, and each ride stays inside its detour allowance.  The check
-    relaxes every real schedule, so a pair that any vehicle could serve
-    together is never rejected.
-    """
-    if min_fac is None:
-        min_fac = network.min_factor()
-    # atoms: 0 board ra, 1 alight ra, 2 board rb, 3 alight rb
-    atom_node = (ra.origin, ra.destination, rb.origin, rb.destination)
-    windows = {0: ra, 2: rb}
-    limit_a = (1.0 + constraints.max_detour_rel) * ra.direct_time_s
-    limit_b = (1.0 + constraints.max_detour_rel) * rb.direct_time_s
-    dwell = constraints.dwell_s
-    for order in _PAIR_ORDERS:
-        pos = {atom: i for i, atom in enumerate(order)}
-        edges = []
-        ok = True
-        for i in range(1, 4):
-            n_prev, n_here = atom_node[order[i - 1]], atom_node[order[i]]
-            try:
-                sep = network.base_travel_time(n_prev, n_here) * min_fac
-            except NoPathError:
-                ok = False
-                break
-            if n_prev != n_here:
-                sep += dwell
-            edges.append((i, i - 1, -sep))   # t[i] - t[i-1] >= sep
-        if not ok:
-            continue
-        for atom, req in windows.items():
-            i = pos[atom]
-            edges.append((4, i, req.t_req_s + constraints.max_wait_s))
-            edges.append((i, 4, -req.t_req_s))
-        edges.append((pos[0], pos[1], limit_a))
-        edges.append((pos[2], pos[3], limit_b))
-        if _difference_system_feasible(5, edges):
-            return True
-    return False
-
-
-def _difference_system_feasible(n: int, edges, tol: float = 1e-9) -> bool:
-    # Bellman-Ford negative-cycle test; dist starts at 0 everywhere,
-    # which is equivalent to a virtual source into every node
-    dist = [0.0] * n
-    for _ in range(n - 1):
-        changed = False
-        for u, v, w in edges:
-            if dist[u] + w < dist[v] - tol:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            return True
-    for u, v, w in edges:
-        if dist[u] + w < dist[v] - tol:
-            return False
-    return True
 
 
 # -- best schedule for one bundle ----------------------------------------
@@ -177,7 +106,6 @@ def _best_bundle_order(network: Network, vehicle: Vehicle, add_ids, requests,
                       for rid in add_ids}
     ride_limit = {rid: (1.0 + constraints.max_detour_rel) * requests[rid].direct_time_s
                   for rid in bundle}
-    t_req = {rid: requests[rid].t_req_s for rid in bundle}
     origin = {rid: requests[rid].origin for rid in bundle}
     dest = {rid: requests[rid].destination for rid in bundle}
 
@@ -192,7 +120,7 @@ def _best_bundle_order(network: Network, vehicle: Vehicle, add_ids, requests,
         if not remaining:
             d2 = 0.0
             for rid in bundle:
-                d2 += arr[rid] - t_req[rid]
+                d2 += arr[rid] - requests[rid].t_req_s
             cost = dw * dist + tw * d2 - reward_term
             if best_cost is None or cost < best_cost:
                 best_cost = cost
@@ -223,7 +151,7 @@ def _best_bundle_order(network: Network, vehicle: Vehicle, add_ids, requests,
                 picked = pickup_times.get(rid, planned.get(rid))
                 if picked is None or t2 - picked > ride_limit[rid]:
                     continue
-                delay2 = delay + (t2 - t_req[rid])
+                delay2 = delay + (t2 - requests[rid].t_req_s)
             bound = dw * dist2 + tw * delay2 - reward_term
             if best_cost is not None and bound >= best_cost + 1e-9:
                 continue
@@ -259,8 +187,7 @@ def _best_bundle_order(network: Network, vehicle: Vehicle, add_ids, requests,
     if violation is not None:
         raise ConsistencyError(
             f"bundle search produced an infeasible order: {violation}")
-    cost = schedule_cost(sched, objective, t_req)
-    return cost, sched
+    return schedule_cost(sched, objective, requests), sched
 
 
 # -- guided enumeration --------------------------------------------------
@@ -289,16 +216,11 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
     at least as good as the current one always exists.
     """
     min_fac = network.min_factor()
-    req_times = {rid: r.t_req_s for rid, r in requests.items()}
     out = []
     for veh in sorted(vehicles, key=lambda v: v.vehicle_id):
         base = frozenset(veh.onboard)
         cands = [rid for rid in sorted(set(candidate_ids) - base)
                  if _reachable(network, veh, requests[rid], constraints, now, min_fac)]
-        pair_ok = {}
-        for a, b in combinations(cands, 2):
-            pair_ok[(a, b)] = pair_shareable(
-                network, requests[a], requests[b], constraints, min_fac)
         found: dict = {}
 
         def note(add_set, cost, sched, grandfathered=False):
@@ -324,8 +246,6 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
                     grown = add | {rid}
                     if grown in present_now:
                         continue
-                    if any(not pair_ok[tuple(sorted((rid, other)))] for other in add):
-                        continue
                     if level > 1 and any(
                             grown - {x} not in present_prev for x in grown):
                         continue
@@ -344,7 +264,7 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
             inc_sched, _ = plan_stop_sequence(
                 network, veh, inc, now, requests, pickup_times, constraints,
                 enforce=False)
-            inc_cost = schedule_cost(inc_sched, objective, req_times)
+            inc_cost = schedule_cost(inc_sched, objective, requests)
             inc_add = frozenset(inc_sched.bundle) - base
             cur = found.get(inc_add)
             if cur is None or cur[0] > inc_cost:
@@ -354,7 +274,7 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
                 fb_sched, _ = plan_stop_sequence(
                     network, veh, only_base, now, requests, pickup_times,
                     constraints, enforce=False)
-                fb_cost = schedule_cost(fb_sched, objective, req_times)
+                fb_cost = schedule_cost(fb_sched, objective, requests)
                 found[frozenset()] = (fb_cost, fb_sched, True)
 
         entries = []
@@ -555,7 +475,6 @@ def reoptimize(operator, now: float, per_vehicle_cap: int | None = None) -> dict
     vehicles = sorted(operator.vehicles, key=lambda v: v.vehicle_id)
     assigned = sorted(operator.active_ids())
     candidates = sorted(operator.scheduled_ids)
-    req_times = {rid: r.t_req_s for rid, r in operator.requests.items()}
 
     incumbent_specs = {}
     incumbent_keys = []
@@ -563,12 +482,12 @@ def reoptimize(operator, now: float, per_vehicle_cap: int | None = None) -> dict
     for veh in vehicles:
         if not veh.stops:
             continue
-        specs = [StopSpec(s.node, s.board, s.alight) for s in veh.stops]
-        incumbent_specs[veh.vehicle_id] = specs
+        incumbent_specs[veh.vehicle_id] = veh.stops
         sched, _ = plan_stop_sequence(
-            net, veh, specs, now, operator.requests, operator.pickup_times,
+            net, veh, veh.stops, now, operator.requests, operator.pickup_times,
             operator.constraints, enforce=False)
-        incumbent_total += schedule_cost(sched, operator.objective, req_times)
+        incumbent_total += schedule_cost(sched, operator.objective,
+                                         operator.requests)
         incumbent_keys.append((veh.vehicle_id, tuple(sorted(sched.bundle))))
 
     options = enumerate_v2rbs(
@@ -591,11 +510,9 @@ def reoptimize(operator, now: float, per_vehicle_cap: int | None = None) -> dict
                 n_changed += 1
             continue
         if not pick.grandfathered:
-            bad = check_feasibility(pick.schedule, veh, operator.constraints,
-                                    operator.requests, operator.pickup_times)
-            if bad is not None:
-                raise ConsistencyError(
-                    f"reoptimization chose an infeasible schedule: {bad}")
+            confirm_schedule(net, veh, pick.schedule, now, operator.requests,
+                             operator.pickup_times, operator.constraints,
+                             "reoptimization chose")
         before = [(s.node, s.board, s.alight) for s in veh.stops]
         after = [(s.node, s.board, s.alight) for s in pick.schedule.stops]
         if before != after:

@@ -268,13 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, phase=False):
+    def common(p, phase=False, jobs=False):
         p.add_argument("config", help="YAML config file")
         p.add_argument("--out", default=None,
                        help="output directory (default: $POOLMARKET_OUT "
                             "or ./out)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel simulations where applicable")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=None,
+                           help="simulations run in parallel processes")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         if phase:
@@ -291,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("game", help="run the turn-based parameter game")
-    common(p)
+    common(p, jobs=True)
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("calibrate",
                        help="sweep fleet sizes, fit fare and penalty")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--target", type=float, default=None,
                    help="override the target service rate")
     p.set_defaults(func=cmd_calibrate)

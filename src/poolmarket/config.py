@@ -17,7 +17,8 @@ from .economics import EconParams
 from .game import GameConfig, OperatorParams
 from .network import Network, TravelTimeProfile
 from .operators import Constraints
-from .simcore import OperatorConfig, SimulationConfig
+from .simcore import (OperatorConfig, SimulationConfig, SimulationError,
+                      _validate)
 
 _TOP_KEYS = {
     "network", "network_file", "scenario", "horizon_s", "step_s",
@@ -271,7 +272,7 @@ def build_simulation(doc: dict, src: _Source, base_dir) -> SimulationConfig:
         src.fail("operators", "expected a non-empty list")
     operators = [_build_operator(s, i, src) for i, s in enumerate(ops_spec)]
     trips, rate = _build_demand(doc, src, base_dir)
-    return SimulationConfig(
+    cfg = SimulationConfig(
         network=network,
         scenario=_opt(doc, "scenario", str, "single", "", src),
         horizon_s=_opt(doc, "horizon_s", float, 3600.0, "", src),
@@ -290,6 +291,11 @@ def build_simulation(doc: dict, src: _Source, base_dir) -> SimulationConfig:
         reposition_enabled=_opt(doc, "reposition_enabled", bool, True,
                                 "", src),
         per_vehicle_cap=_opt(doc, "per_vehicle_cap", int, None, "", src))
+    try:
+        _validate(cfg)
+    except SimulationError as exc:
+        src.fail(exc.keypath, exc.problem)
+    return cfg
 
 
 def build_game(doc: dict, src: _Source, base_dir) -> GameConfig:

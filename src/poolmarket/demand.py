@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network
+from .network import Network, _parse_rows
 
 
 class DemandError(ValueError):
@@ -45,41 +45,17 @@ SPEED_MAX_MPS = 30.0
 
 def read_trip_rows(path) -> list[RawTrip]:
     """Parse a trip file; raises DemandError naming the offending row."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DemandError(f"{path}: cannot read file ({exc})") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DemandError(f"{path}: file is empty")
-    delim = max(",;\t", key=lines[0].count)
-    if lines[0].count(delim) == 0:
-        delim = None
     trips = []
     seen_ids = set()
-    for row_no, line in enumerate(lines, start=1):
-        cells = [c.strip() for c in (line.split(delim) if delim else line.split())]
-        cells = [c for c in cells if c != ""]
-        try:
-            values = [float(c) for c in cells]
-        except ValueError:
-            if row_no == 1:
-                continue  # header
-            raise DemandError(f"{path}: row {row_no}: non-numeric cell in {line!r}") from None
-        if len(values) not in (4, 5):
-            raise DemandError(
-                f"{path}: row {row_no}: expected id,request_time_s,origin_node,"
-                f"destination_node[,recorded_duration_s], got {len(values)} cells"
-            )
+    for row_no, values in _parse_rows(
+            path, 5, "id,request_time_s,origin_node,destination_node"
+            "[,recorded_duration_s]", optional_last=True, error=DemandError):
         tid = int(values[0])
         if tid in seen_ids:
             raise DemandError(f"{path}: row {row_no}: duplicate trip id {tid}")
         seen_ids.add(tid)
         dur = values[4] if len(values) == 5 else None
         trips.append(RawTrip(tid, values[1], int(values[2]), int(values[3]), dur))
-    if not trips:
-        raise DemandError(f"{path}: no data rows")
     return trips
 
 
@@ -174,21 +150,6 @@ def generate_trips(node_ids, rate_per_hour: float, horizon_s: float, seed: int,
         trips.append(RawTrip(tid, float(int(t)), o, d, None))
         tid += 1
     return trips
-
-
-def write_trip_file(trips, path):
-    """Write trips in the standard column layout (no duration column when absent)."""
-    lines = ["id,request_time_s,origin_node,destination_node,recorded_duration_s"]
-    any_dur = any(t.recorded_duration_s is not None for t in trips)
-    if not any_dur:
-        lines = ["id,request_time_s,origin_node,destination_node"]
-    for t in trips:
-        base = f"{t.trip_id},{t.t_req_s!r},{t.origin},{t.destination}"
-        if any_dur:
-            dur = "" if t.recorded_duration_s is None else repr(t.recorded_duration_s)
-            base += f",{dur}"
-        lines.append(base)
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def split_demand(requests, num_operators: int, seed: int) -> dict[int, int]:

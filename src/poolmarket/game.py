@@ -14,8 +14,8 @@ import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .economics import EconParams, compute_effective_profit, compute_profit
-from .simcore import OperatorConfig, SimulationConfig, SimulationError, run
+from .economics import compute_effective_profit, compute_profit
+from .simcore import OperatorConfig, SimulationConfig, run
 
 
 class GameError(Exception):
@@ -65,20 +65,6 @@ class GameState:
     adopted: list = field(default_factory=list)
     status: str = "running"
     final_params: OperatorParams | None = None
-
-
-def profit_for(result, econ: EconParams, op_id: int):
-    """Revenue/cost/profit of one operator in a finished run."""
-    st = result.operator_stats[op_id]
-    return compute_profit(
-        st["served_direct_distance_m"], st["fleet_distance_m"],
-        result.fleet_sizes[op_id], result.horizon_s, econ)
-
-
-def effective_profit_for(result, econ: EconParams, op_id: int) -> float:
-    bd = profit_for(result, econ, op_id)
-    return compute_effective_profit(
-        bd.profit_eur, result.operator_stats[op_id]["n_no_offer"], econ)
 
 
 def _fleet_axis(center: int, step: int, count: int) -> list:

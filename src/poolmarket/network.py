@@ -13,7 +13,6 @@ sequence always takes the smallest next node id.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
@@ -97,20 +96,23 @@ class TravelTimeProfile:
         return base
 
 
-def _parse_rows(path, n_cols: int, col_names: str, optional_last: bool = False):
+def _parse_rows(path, n_cols: int, expected: str, optional_last: bool = False,
+                error=NetworkLoadError):
     """Read a delimiter-separated table, yielding (row_no, cells) of floats.
 
     Delimiter is sniffed from {comma, semicolon, tab, space}; a single
-    header row is skipped when its cells do not parse as numbers.
+    header row is skipped when its cells do not parse as numbers.  Bad
+    input raises ``error`` naming the file and row; ``expected``
+    describes the columns in that message.
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise NetworkLoadError(f"{path}: cannot read file ({exc})") from exc
+        raise error(f"{path}: cannot read file ({exc})") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise NetworkLoadError(f"{path}: file is empty")
+        raise error(f"{path}: file is empty")
     first = lines[0]
     delim = max(",;\t", key=first.count)
     if first.count(delim) == 0:
@@ -124,17 +126,17 @@ def _parse_rows(path, n_cols: int, col_names: str, optional_last: bool = False):
         except ValueError:
             if row_no == 1:
                 continue  # header
-            raise NetworkLoadError(
+            raise error(
                 f"{path}: row {row_no}: non-numeric cell in {line!r}"
             ) from None
         lo = n_cols - 1 if optional_last else n_cols
         if not (lo <= len(values) <= n_cols):
-            raise NetworkLoadError(
-                f"{path}: row {row_no}: expected columns {col_names}, got {len(values)} cells"
+            raise error(
+                f"{path}: row {row_no}: expected {expected}, got {len(values)} cells"
             )
         rows.append((row_no, values))
     if not rows:
-        raise NetworkLoadError(f"{path}: no data rows")
+        raise error(f"{path}: no data rows")
     return rows
 
 
@@ -392,14 +394,14 @@ class Network:
 
 def load_network(nodes_path, edges_path, zones_path=None, profile_path=None) -> Network:
     """Load and validate a network from delimiter-separated text files."""
-    node_rows = _parse_rows(nodes_path, 3, "node_id,x,y")
+    node_rows = _parse_rows(nodes_path, 3, "columns node_id,x,y")
     nodes = {}
     for row_no, (nid, x, y) in node_rows:
         nid = int(nid)
         if nid in nodes:
             raise NetworkLoadError(f"{nodes_path}: row {row_no}: duplicate node id {nid}")
         nodes[nid] = (x, y)
-    edge_rows = _parse_rows(edges_path, 4, "from_node,to_node,length_m,travel_time_s")
+    edge_rows = _parse_rows(edges_path, 4, "columns from_node,to_node,length_m,travel_time_s")
     edges = []
     for row_no, (u, v, ln, tt) in edge_rows:
         u, v = int(u), int(v)
@@ -412,7 +414,7 @@ def load_network(nodes_path, edges_path, zones_path=None, profile_path=None) -> 
         edges.append((u, v, ln, tt))
     zones = None
     if zones_path is not None:
-        zone_rows = _parse_rows(zones_path, 2, "node_id,zone_id")
+        zone_rows = _parse_rows(zones_path, 2, "columns node_id,zone_id")
         zones = {}
         for row_no, (nid, z) in zone_rows:
             nid = int(nid)
@@ -421,7 +423,7 @@ def load_network(nodes_path, edges_path, zones_path=None, profile_path=None) -> 
             zones[nid] = int(z)
     profile = None
     if profile_path is not None:
-        prof_rows = _parse_rows(profile_path, 2, "interval_start_s,scale_factor")
+        prof_rows = _parse_rows(profile_path, 2, "columns interval_start_s,scale_factor")
         starts = [r[1][0] for r in prof_rows]
         factors = [r[1][1] for r in prof_rows]
         if starts[0] != 0.0:

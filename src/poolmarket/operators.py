@@ -16,7 +16,7 @@ dominates any distance or delay term.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .demand import Request
 from .network import Network
@@ -148,11 +148,14 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
                        enforce: bool = True):
     """Time a stop sequence from the vehicle's resume point.
 
-    Returns (schedule, None) when feasible, else (None, first_violation).
-    With enforce=False the schedule is always returned (used when
-    re-timing after a travel-time change; promises are checked at
-    booking time only).
+    This is the one place where the service rules are checked.  Returns
+    (schedule, None) when feasible, else (None, first_violation).  With
+    enforce=False the schedule is always returned (used when re-timing
+    after a travel-time change; promises are checked at booking time
+    only).
 
+    :param specs: stops with node, board and alight, such as StopSpec or
+        a vehicle's own Stop list; arrival times are ignored
     :param requests: mapping request id -> Request
     :param pickup_times: actual pickup times for customers already onboard
     """
@@ -188,7 +191,11 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
             arrival_by[rid] = t
             req = requests[rid]
             picked = pickup_times.get(rid, pickup_by.get(rid))
-            if picked is not None:
+            if picked is None:
+                violated("precedence", rid, idx, "no pickup time")
+                if enforce:
+                    return None, violation
+            else:
                 limit = (1.0 + constraints.max_detour_rel) * req.direct_time_s
                 if t - picked > limit:
                     violated("detour", rid, idx,
@@ -196,6 +203,10 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
                     if enforce:
                         return None, violation
         for rid in spec.board:
+            if rid in onboard:
+                violated("precedence", rid, idx, "boarded twice")
+                if enforce:
+                    return None, violation
             req = requests[rid]
             if t > req.t_req_s + constraints.max_wait_s:
                 violated("wait", rid, idx,
@@ -221,62 +232,37 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
     return schedule, violation
 
 
-def check_feasibility(schedule: Schedule, vehicle: Vehicle, constraints: Constraints,
-                      requests, pickup_times) -> Violation | None:
-    """Validate the four conditions on an already-timed schedule.
+def confirm_schedule(network: Network, vehicle: Vehicle, schedule: Schedule,
+                     now: float, requests, pickup_times, constraints: Constraints,
+                     chooser: str):
+    """Raise ConsistencyError unless re-timing reproduces the schedule.
 
-    Stops are scanned in order; at each stop precedence, capacity, wait
-    and detour are checked in that order; the first hit is returned.
+    The stops are planned again from the vehicle's current state.  The
+    schedule stands only if that plan is feasible and has the same
+    nodes, riders and arrival times.
     """
-    onboard = set(vehicle.onboard)
-    count = len(onboard)
-    planned_pickup: dict[int, float] = {}
-    for idx, stop in enumerate(schedule.stops):
-        for rid in stop.alight:
-            if rid not in onboard:
-                return Violation("precedence", rid, idx, "alight before board")
-            onboard.discard(rid)
-            count -= 1
-        for rid in stop.board:
-            if rid in onboard:
-                return Violation("precedence", rid, idx, "boarded twice")
-            onboard.add(rid)
-            count += 1
-            planned_pickup[rid] = stop.arrival_s
-        if count > constraints.capacity:
-            over = min(stop.board) if stop.board else None
-            return Violation("capacity", over, idx,
-                             f"{count} onboard > {constraints.capacity}")
-        for rid in stop.board:
-            req = requests[rid]
-            if stop.arrival_s > req.t_req_s + constraints.max_wait_s + 1e-9:
-                return Violation("wait", rid, idx, "pickup after wait limit")
-        for rid in stop.alight:
-            req = requests[rid]
-            picked = pickup_times.get(rid, planned_pickup.get(rid))
-            if picked is None:
-                return Violation("precedence", rid, idx, "no pickup time")
-            limit = (1.0 + constraints.max_detour_rel) * req.direct_time_s
-            if stop.arrival_s - picked > limit + 1e-9:
-                return Violation("detour", rid, idx, "in-vehicle beyond detour limit")
-    if onboard:
-        return Violation("precedence", min(onboard), len(schedule.stops),
-                         "customer never alights")
-    return None
+    again, bad = plan_stop_sequence(network, vehicle, schedule.stops, now,
+                                    requests, pickup_times, constraints)
+    if bad is None and again.stops != schedule.stops:
+        bad = "re-timed stops differ from the plan"
+    if bad is not None:
+        raise ConsistencyError(f"{chooser} an infeasible schedule: {bad}")
 
 
 def schedule_cost(schedule: Schedule | None, objective: ObjectiveParams,
-                  request_times) -> float:
+                  requests) -> float:
     """Eq-style cost of one schedule; empty schedules cost 0.
 
     The delay sum runs over the bundle in ascending request id so equal
     schedules always produce the identical float.
+
+    :param requests: mapping request id -> Request, covering the bundle
     """
     if schedule is None or not schedule.stops:
         return 0.0
     delay = 0.0
     for rid in sorted(schedule.bundle):
-        delay += schedule.arrival_by_request[rid] - request_times[rid]
+        delay += schedule.arrival_by_request[rid] - requests[rid].t_req_s
     return (objective.dist_weight * schedule.distance_m
             + objective.time_weight * delay
             - objective.assignment_reward * len(schedule.bundle))
@@ -331,7 +317,6 @@ class Operator:
         self.n_no_offer = 0
         self.state_version = 0
 
-    # counts of requests this operator was asked about
     def fleet_distance_m(self) -> float:
         return sum(v.odometer_m for v in self.vehicles)
 
@@ -343,9 +328,6 @@ class Operator:
 
     def active_ids(self) -> set[int]:
         return set(self.scheduled_ids) | self.onboard_ids()
-
-    def vehicle(self, vid: int) -> Vehicle:
-        return self.vehicles[vid]
 
     # -- offers ----------------------------------------------------------
 
@@ -368,26 +350,24 @@ class Operator:
             node, t_ready = resume_point(veh, self.network, now)
             if t_ready + self.network.travel_time(node, request.origin, now) > deadline + 1e-9:
                 continue
-            base_specs = [StopSpec(s.node, s.board, s.alight) for s in veh.stops]
+            base = veh.stops
             # incumbent cost for the marginal comparison; unenforced because
             # promises may be stale after a travel-time change
             base_sched, _ = plan_stop_sequence(
-                self.network, veh, base_specs, now, reqs, self.pickup_times,
+                self.network, veh, base, now, reqs, self.pickup_times,
                 self.constraints, enforce=False)
-            base_cost = schedule_cost(base_sched, self.objective, _req_times(reqs))
+            base_cost = schedule_cost(base_sched, self.objective, reqs)
             pick = StopSpec(request.origin, board=(request.request_id,))
             drop = StopSpec(request.destination, alight=(request.request_id,))
-            n = len(base_specs)
-            for p_pos, d_pos in _insertion_positions(n):
-                cand = (base_specs[:p_pos] + [pick] + base_specs[p_pos:d_pos]
-                        + [drop] + base_specs[d_pos:])
+            for p_pos, d_pos in _insertion_positions(len(base)):
+                cand = (base[:p_pos] + [pick] + base[p_pos:d_pos]
+                        + [drop] + base[d_pos:])
                 sched, violation = plan_stop_sequence(
                     self.network, veh, cand, now, reqs, self.pickup_times,
                     self.constraints)
                 if violation is not None:
                     continue
-                delta = (schedule_cost(sched, self.objective, _req_times(reqs))
-                         - base_cost)
+                delta = schedule_cost(sched, self.objective, reqs) - base_cost
                 if best is None or delta < best[0]:
                     best = (delta, veh.vehicle_id, sched, base_sched.distance_m if base_sched else 0.0)
         if best is None:
@@ -416,11 +396,9 @@ class Operator:
                 f"stale offer for request {offer.request_id}: state moved on")
         veh = self.vehicles[offer.vehicle_id]
         self.requests[request.request_id] = request
-        bad = check_feasibility(offer.schedule, veh, self.constraints,
-                                self.requests, self.pickup_times)
-        if bad is not None:
-            raise ConsistencyError(
-                f"operator {self.op_id} booked an infeasible schedule: {bad}")
+        confirm_schedule(self.network, veh, offer.schedule, now, self.requests,
+                         self.pickup_times, self.constraints,
+                         f"operator {self.op_id} booked")
         self.scheduled_ids.add(request.request_id)
         self.apply_schedule(veh, offer.schedule)
         self.state_version += 1
@@ -441,10 +419,9 @@ class Operator:
         for veh in self.vehicles:
             if not veh.stops:
                 continue
-            specs = [StopSpec(s.node, s.board, s.alight) for s in veh.stops]
             sched, _ = plan_stop_sequence(
-                self.network, veh, specs, now, self.requests, self.pickup_times,
-                self.constraints, enforce=False)
+                self.network, veh, veh.stops, now, self.requests,
+                self.pickup_times, self.constraints, enforce=False)
             veh.stops = list(sched.stops)
             veh.leg = None
         self.state_version += 1
@@ -515,10 +492,6 @@ class Operator:
         if moves:
             self.state_version += 1
         return moves
-
-
-def _req_times(requests) -> dict[int, float]:
-    return {rid: r.t_req_s for rid, r in requests.items()}
 
 
 def _scale_demands(sinks, total_supply: int):

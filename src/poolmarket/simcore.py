@@ -38,7 +38,16 @@ _KIND_RANK = {"alight": 0, "board": 1}
 
 
 class SimulationError(RuntimeError):
-    """Configuration rejected before the run started."""
+    """Configuration rejected before the run started.
+
+    ``keypath`` names the offending setting the way config files spell
+    it, for example ``operators[0].fleet_size``.
+    """
+
+    def __init__(self, keypath: str, problem: str):
+        super().__init__(f"{keypath}: {problem}")
+        self.keypath = keypath
+        self.problem = problem
 
 
 @dataclass
@@ -93,24 +102,40 @@ class SimulationResult:
 
 
 def _validate(config: SimulationConfig):
+    """The range and consistency rules of a run; raises SimulationError."""
     if config.scenario not in SCENARIOS:
-        raise SimulationError(f"unknown scenario {config.scenario!r}")
-    if config.horizon_s <= 0 or config.step_s <= 0:
-        raise SimulationError("horizon_s and step_s must be positive")
+        raise SimulationError("scenario",
+                              f"unknown scenario {config.scenario!r}")
+    for key in ("horizon_s", "step_s"):
+        if not getattr(config, key) > 0:
+            raise SimulationError(key, "must be positive")
     if not config.operators:
-        raise SimulationError("at least one operator required")
+        raise SimulationError("operators", "at least one operator required")
     if config.scenario == "single" and len(config.operators) != 1:
-        raise SimulationError("single scenario takes exactly one operator")
+        raise SimulationError("operators",
+                              "single scenario takes exactly one operator")
     if config.scenario != "single" and len(config.operators) < 2:
         raise SimulationError(
+            "operators",
             f"{config.scenario} scenario needs at least two operators")
     for i, oc in enumerate(config.operators):
+        where = f"operators[{i}]"
         if oc.fleet_size < 1:
-            raise SimulationError(f"operator {i}: fleet_size must be >= 1")
+            raise SimulationError(f"{where}.fleet_size", "must be >= 1")
+        if oc.start_nodes is None:
+            continue
+        if len(oc.start_nodes) != oc.fleet_size:
+            raise SimulationError(f"{where}.start_nodes",
+                                  f"must list {oc.fleet_size} nodes")
+        for j, node in enumerate(oc.start_nodes):
+            if node not in config.network.coords:
+                raise SimulationError(f"{where}.start_nodes[{j}]",
+                                      f"unknown start node {node}")
     if config.trips is None and config.demand_rate_per_hour is None:
-        raise SimulationError("provide trips or demand_rate_per_hour")
+        raise SimulationError("demand",
+                              "provide trips, trips_file or rate_per_hour")
     if not (0.0 < config.subsample_rate <= 1.0):
-        raise SimulationError("subsample_rate must be in (0, 1]")
+        raise SimulationError("subsample_rate", "must be in (0, 1]")
 
 
 class _Engine:
@@ -168,13 +193,7 @@ class _Engine:
                           start_seed=derive_seed(cfg.master_seed, "veh-start", str(i)),
                           forecast=forecast, event_sink=self.log)
             if oc.start_nodes is not None:
-                if len(oc.start_nodes) != oc.fleet_size:
-                    raise SimulationError(
-                        f"operator {i}: start_nodes must list {oc.fleet_size} nodes")
                 for veh, node in zip(op.vehicles, oc.start_nodes):
-                    if node not in self.network.node_ids:
-                        raise SimulationError(
-                            f"operator {i}: unknown start node {node}")
                     veh.node = node
             self.operators.append(op)
             self.served_by_op[i] = []

@@ -18,7 +18,6 @@ from poolmarket.assign import (
     load_problem,
     oracle_assignment,
     oracle_enumerate,
-    pair_shareable,
     reoptimize,
     solve_ilp,
 )
@@ -75,29 +74,36 @@ def production_table(net, vehicles, requests, now, **kw):
     return {z.key(): z.cost for z in opts}, opts
 
 
-# -- pairwise shareability ----------------------------------------------
+# -- pairs of requests -----------------------------------------------------
 
 
-def test_pair_same_direction_shareable(line10):
-    ra = req(1, 0.0, 0, 5, line10)
-    rb = req(2, 0.0, 1, 6, line10)
-    assert pair_shareable(line10, ra, rb, CONS)
+def pair_keys(net, vehicle_nodes, ra, rb):
+    vehicles = [Vehicle(i, node) for i, node in enumerate(vehicle_nodes)]
+    table, _ = production_table(net, vehicles, {1: ra, 2: rb}, 0.0)
+    return set(table)
 
 
-def test_pair_opposite_ends_not_shareable(line10):
+def test_same_direction_pair_is_a_bundle(line10):
+    keys = pair_keys(line10, [0], req(1, 0.0, 0, 5, line10),
+                     req(2, 0.0, 1, 6, line10))
+    assert (0, (1, 2)) in keys
+
+
+def test_opposite_ends_pair_is_no_bundle(line10):
     # 450 s just to cross the line; one of the two pickups always misses
     # its 360 s window whichever end the vehicle starts from
-    ra = req(1, 0.0, 0, 9, line10)
-    rb = req(2, 0.0, 9, 0, line10)
-    assert not pair_shareable(line10, ra, rb, CONS)
+    keys = pair_keys(line10, [0, 4, 9], req(1, 0.0, 0, 9, line10),
+                     req(2, 0.0, 9, 0, line10))
+    assert {(0, (1,)), (2, (2,))} <= keys
+    assert not any(bundle == (1, 2) for _, bundle in keys)
 
 
-def test_pair_waiting_bridges_request_gap(line10):
-    # second customer appears 500 s later; serving them back to back
-    # only works because the vehicle may sit idle in between
-    ra = req(1, 0.0, 0, 2, line10)
-    rb = req(2, 500.0, 2, 4, line10)
-    assert pair_shareable(line10, ra, rb, CONS)
+def test_pair_bundle_bridges_request_gap(line10):
+    # the second customer appears 500 s after the first, at the node where
+    # the first ride ends; one vehicle serves both back to back
+    keys = pair_keys(line10, [0], req(1, 0.0, 0, 2, line10),
+                     req(2, 500.0, 2, 4, line10))
+    assert (0, (1, 2)) in keys
 
 
 # -- enumeration vs brute force -----------------------------------------

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poolmarket.cli import main
 
@@ -94,6 +98,60 @@ def test_wrong_value_types_exit_two_naming_file_line_and_key(
     assert main(["validate", str(p)]) == 2
     no = _one_line_error(capsys.readouterr().err, p, keypath)
     assert needle in p.read_text().splitlines()[no - 1]
+
+
+@pytest.mark.parametrize("keypath, edit, needle", [
+    ("operators[0].fleet_size",
+     lambda t: t.replace("- fleet_size: 1", "- fleet_size: -1"), "-1"),
+    ("step_s", lambda t: t + "step_s: 0\n", "step_s: 0"),
+    ("subsample_rate", lambda t: t + "subsample_rate: 1.5\n", "1.5"),
+    ("operators[0].start_nodes",
+     lambda t: t.replace("start_nodes: [0]", "start_nodes: [0, 1]"), "[0, 1]"),
+])
+def test_out_of_range_values_exit_two_in_validate_and_simulate(
+        tmp_path, capsys, keypath, edit, needle):
+    p = tmp_path / "bad.yaml"
+    p.write_text(edit(line_config()))
+    for argv in (["validate", str(p)],
+                 ["simulate", str(p), "--out", str(tmp_path / "run")]):
+        assert main(argv) == 2, argv
+        no = _one_line_error(capsys.readouterr().err, p, keypath)
+        assert needle in p.read_text().splitlines()[no - 1]
+    assert not (tmp_path / "run").exists()
+
+
+def _key_paths(node, path=()):
+    """Access paths of every mapping value and list item below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+_TOY = yaml.safe_load(line_config())
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
+                     st.floats(), st.text(max_size=8))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_key_paths(_TOY))),
+       value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4)))
+def test_any_one_replaced_value_exits_zero_or_two(tmp_path, path, value):
+    doc = copy.deepcopy(_TOY)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    p = tmp_path / "fuzz.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(p)]) in (0, 2)
 
 
 def test_errors_in_list_items_point_at_their_own_line(tmp_path, capsys):

@@ -15,7 +15,7 @@ from poolmarket.demand import (
     ingest_requests,
     read_trip_rows,
     split_demand,
-    write_trip_file,
+    write_trip_rows,
 )
 
 from conftest import make_line_network
@@ -78,7 +78,7 @@ def test_unknown_node_raises(line10):
 def test_trip_file_round_trip(tmp_path, line10):
     trips = generate_trips(range(10), rate_per_hour=120.0, horizon_s=1800.0, seed=5)
     p = tmp_path / "requests.csv"
-    write_trip_file(trips, p)
+    write_trip_rows(trips, p)
     back = read_trip_rows(p)
     assert back == trips
     reqs = ingest_requests(p, line10, subsample_rate=1.0, seed=0)

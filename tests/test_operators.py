@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +11,7 @@ from poolmarket.demand import Request
 from poolmarket.network import TravelTimeProfile
 from poolmarket.operators import (
     BookingError,
+    ConsistencyError,
     Constraints,
     ObjectiveParams,
     Operator,
@@ -18,7 +19,6 @@ from poolmarket.operators import (
     Stop,
     StopSpec,
     Vehicle,
-    check_feasibility,
     default_assignment_reward,
     plan_stop_sequence,
     resume_point,
@@ -59,15 +59,16 @@ def test_schedule_cost_reference_value():
         arrival_by_request={7: 600.0},
         pickup_by_request={7: 0.0},
     )
-    cost = schedule_cost(sched, obj, {7: 0.0})
+    cost = schedule_cost(sched, obj, {7: Request(7, 0.0, 1, 2, 1000.0, 100.0)})
     assert cost == pytest.approx(-9997.05)
 
 
 def test_empty_schedule_costs_zero():
     obj = ObjectiveParams.from_rates(0.25, 16.2, 10000.0)
     sched = Schedule(0, [], frozenset(), 0.0, {}, {})
-    assert schedule_cost(sched, obj, {}) == 0.0
-    assert schedule_cost(None, obj, {}) == 0.0
+    reqs = {1: Request(1, 0.0, 1, 2, 1000.0, 100.0)}
+    assert schedule_cost(sched, obj, reqs) == 0.0
+    assert schedule_cost(None, obj, reqs) == 0.0
 
 
 def test_cost_depends_on_times_not_stop_identity(line10):
@@ -79,7 +80,7 @@ def test_cost_depends_on_times_not_stop_identity(line10):
     s1, v1 = plan_stop_sequence(line10, veh, specs, 0.0, {1: r}, {}, Constraints())
     s2, v2 = plan_stop_sequence(line10, veh, specs, 0.0, {1: r}, {}, Constraints())
     assert v1 is None and v2 is None
-    assert schedule_cost(s1, obj, {1: 0.0}) == schedule_cost(s2, obj, {1: 0.0})
+    assert schedule_cost(s1, obj, {1: r}) == schedule_cost(s2, obj, {1: r})
 
 
 # -- timing and feasibility ---------------------------------------------
@@ -145,7 +146,7 @@ def test_precedence_violation_flagged(line10):
     assert bad.kind == "precedence"
 
 
-def test_check_feasibility_accepts_planned(line10):
+def test_planned_stops_retime_to_themselves(line10):
     r1 = req(1, 0.0, 1, 6, line10)
     r2 = req(2, 60.0, 2, 7, line10)
     veh = Vehicle(0, 0)
@@ -158,7 +159,32 @@ def test_check_feasibility_accepts_planned(line10):
     reqs = {1: r1, 2: r2}
     sched, bad = plan_stop_sequence(line10, veh, specs, 0.0, reqs, {}, Constraints())
     assert bad is None
-    assert check_feasibility(sched, veh, Constraints(), reqs, {}) is None
+    again, bad = plan_stop_sequence(line10, veh, sched.stops, 0.0, reqs, {},
+                                    Constraints())
+    assert bad is None
+    assert again.stops == sched.stops
+
+
+def test_boarding_twice_is_a_precedence_violation(line10):
+    r = req(1, 0.0, 2, 5, line10)
+    veh = Vehicle(0, 0)
+    specs = [StopSpec(2, board=(1,)), StopSpec(3, board=(1,)),
+             StopSpec(5, alight=(1,))]
+    sched, bad = plan_stop_sequence(line10, veh, specs, 0.0, {1: r}, {}, Constraints())
+    assert sched is None
+    assert (bad.kind, bad.request_id, bad.stop_index, bad.detail) == (
+        "precedence", 1, 1, "boarded twice")
+
+
+def test_rider_without_pickup_time_is_a_precedence_violation(line10):
+    # on board, but no recorded pickup: the detour rule cannot be checked
+    r = req(1, 0.0, 0, 2, line10)
+    veh = Vehicle(0, 1, onboard={1})
+    sched, bad = plan_stop_sequence(line10, veh, [StopSpec(2, alight=(1,))], 50.0,
+                                    {1: r}, {}, Constraints())
+    assert sched is None
+    assert (bad.kind, bad.request_id, bad.stop_index, bad.detail) == (
+        "precedence", 1, 0, "no pickup time")
 
 
 def test_onboard_customer_detour_uses_actual_pickup(line10):
@@ -322,6 +348,23 @@ def test_booking_applies_offered_schedule(line10):
     assert 1 in op.scheduled_ids
     assert veh.bundle() == frozenset({1})
     assert before == veh.odometer_m  # booking alone moves nothing
+
+
+def test_booking_rejects_offer_whose_times_were_moved(line10):
+    # one second later is still inside the wait window, but the stops no
+    # longer match what the operator would plan now
+    op = make_operator(line10, [0])
+    r = req(1, 0.0, 2, 6, line10)
+    offer = op.insertion_offer(r, 0.0)
+    first, *rest = offer.schedule.stops
+    assert first.arrival_s + 1.0 <= r.t_req_s + op.constraints.max_wait_s
+    moved = dataclasses.replace(first, arrival_s=first.arrival_s + 1.0)
+    doctored = dataclasses.replace(offer, schedule=dataclasses.replace(
+        offer.schedule, stops=[moved, *rest]))
+    with pytest.raises(ConsistencyError):
+        op.book(doctored, r, 0.0)
+    assert op.vehicles[0].stops == []
+    assert 1 not in op.scheduled_ids
 
 
 def test_stale_offer_rejected(line10):
