@@ -23,7 +23,7 @@ from .config import (
     build_simulation,
     load_file,
 )
-from .demand import DemandError, generate_trips, write_trip_rows
+from .demand import DemandError, generate_trips, require_positive, write_trip_rows
 from .game import CalibrationError, GameError, calibrate, run_game
 from .assign import InfeasibleAssignmentError
 from .network import NetworkLoadError, NoPathError
@@ -38,7 +38,7 @@ from .report import (
     replay_kpis,
 )
 from .seeds import derive_seed
-from .simcore import SimulationError, run
+from .simcore import SimulationError, _validate, run
 
 _CONFIG_STAGE = (ConfigError, NetworkLoadError, DemandError)
 _RUN_STAGE = (SimulationError, GameError, CalibrationError, ConsistencyError,
@@ -70,17 +70,25 @@ def _write_manifest(out: Path, command: str, args, seeds, files,
 
 
 def _apply_overrides(cfg, args):
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["master_seed"] = args.seed
-    if getattr(args, "scenario", None) is not None:
-        changes["scenario"] = args.scenario
-    if getattr(args, "fleet_size", None) is not None:
-        changes["operators"] = [
-            dataclasses.replace(oc, fleet_size=args.fleet_size,
-                                start_nodes=None)
-            for oc in cfg.operators]
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+    """Apply simulate's overrides in turn, checking the run rules after each.
+
+    The file's own settings passed those rules when it was built, so a
+    rule that fails after an override is reported against its flag.
+    """
+    fleets = [dataclasses.replace(oc, fleet_size=args.fleet_size, start_nodes=None)
+              for oc in cfg.operators]
+    overrides = (("--seed", args.seed, {"master_seed": args.seed}),
+                 ("--scenario", args.scenario, {"scenario": args.scenario}),
+                 ("--fleet-size", args.fleet_size, {"operators": fleets}))
+    for flag, value, change in overrides:
+        if value is None:
+            continue
+        cfg = dataclasses.replace(cfg, **change)
+        try:
+            _validate(cfg)
+        except SimulationError as exc:
+            raise ConfigError(f"{flag}: {exc.problem}") from None
+    return cfg
 
 
 def _write_events(out: Path, events) -> Path:
@@ -197,6 +205,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_gen_demand(args) -> int:
+    require_positive("--rate", args.rate)
+    require_positive("--horizon", args.horizon)
     doc, src = load_file(args.config)
     network = build_network(doc, src, Path(args.config).parent)
     seed = args.seed if args.seed is not None \

@@ -122,6 +122,16 @@ def ingest_requests(trips, network: Network, subsample_rate: float = 1.0,
     return out
 
 
+def require_positive(name: str, value: float) -> None:
+    """A generation rate or horizon must be finite and positive.
+
+    Otherwise the arrival loop of ``generate_trips`` fails, yields
+    nothing or never ends (an infinite or NaN rate, an infinite horizon).
+    """
+    if not 0.0 < value < math.inf:
+        raise DemandError(f"{name}: must be positive and finite, got {value}")
+
+
 def generate_trips(node_ids, rate_per_hour: float, horizon_s: float, seed: int,
                    id_start: int = 0) -> list[RawTrip]:
     """Synthetic Poisson demand: exponential gaps, uniform distinct OD pairs.
@@ -129,8 +139,8 @@ def generate_trips(node_ids, rate_per_hour: float, horizon_s: float, seed: int,
     Times are floored to whole seconds.  No recorded duration, so the
     speed filter does not apply downstream.
     """
-    if rate_per_hour <= 0:
-        raise DemandError("rate_per_hour must be positive")
+    require_positive("rate_per_hour", rate_per_hour)
+    require_positive("horizon_s", horizon_s)
     nodes = sorted(int(n) for n in node_ids)
     if len(nodes) < 2:
         raise DemandError("need at least two nodes to generate trips")

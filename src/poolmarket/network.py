@@ -4,11 +4,13 @@ Edge base travel times are multiplied by a global scale factor that is
 constant within each profile interval.  Because the scaling is uniform
 across all edges, the time-minimal path between two nodes is the same in
 every interval; only its travel time changes.  Paths are therefore
-computed once on base times and scaled per query.
+computed once on base times and scaled per query: one shortest-path
+tree per origin gives the base time, the distance and the path to
+every node.
 
 Determinism: adjacency lists are sorted by node id, Dijkstra pops are
 ordered by (time, node), and among equal-time paths the returned node
-sequence always takes the smallest next node id.
+sequence is the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ def _parse_rows(path, n_cols: int, expected: str, optional_last: bool = False,
 class Network:
     """Directed road graph with zones and a travel-time profile.
 
-    Structure is immutable after construction; shortest-path caches fill
-    lazily and only speed up identical queries.
+    Structure is immutable after construction.  Each origin's
+    shortest-path tree is built on its first query and cached; it holds
+    base times only, so assigning a new ``profile`` takes effect at once.
     """
 
     def __init__(self, nodes, edges, zones=None, profile: TravelTimeProfile | None = None):
@@ -186,10 +189,8 @@ class Network:
         self.profile = profile if profile is not None else TravelTimeProfile()
         self._check_strongly_connected()
         self._centroids = self._compute_zone_centroids()
-        # lazy caches
-        self._fwd: dict[int, tuple[dict, dict]] = {}
-        self._bwd: dict[int, dict] = {}
-        self._paths: dict[tuple[int, int], PathResult] = {}
+        # origin -> rows of its shortest-path tree, filled lazily
+        self._trees: dict[int, dict[int, tuple[float, float, int | None]]] = {}
         self._diameter_m: float | None = None
 
     # -- validation ------------------------------------------------------
@@ -234,20 +235,21 @@ class Network:
     def zone_centroid(self, zone: int) -> int:
         return self._centroids[zone]
 
-    def set_profile(self, profile: TravelTimeProfile):
-        """Swap the scaling profile; only safe between simulation steps."""
-        self.profile = profile
-
     # -- shortest paths --------------------------------------------------
 
-    def _forward(self, origin: int):
-        cached = self._fwd.get(origin)
-        if cached is not None:
-            return cached
+    def _build_tree(self, origin: int) -> dict:
+        """Build and cache origin's rows ``node -> (base_tt_s, distance_m, parent)``.
+
+        Dijkstra on base times gives every node's time.  A preorder walk of
+        the tight edges (those that keep a path time-minimal), children in
+        ascending id, then takes each node on its first visit.  That visit
+        follows the lexicographically smallest time-minimal path, because
+        every prefix of such a path is itself one.  Distances are summed
+        from the origin along that path.
+        """
         if origin not in self.coords:
             raise NoPathError(f"unknown node {origin}")
-        dist: dict[int, float] = {origin: 0.0}
-        dist_m: dict[int, float] = {origin: 0.0}
+        tt_to: dict[int, float] = {origin: 0.0}
         done = set()
         heap = [(0.0, origin)]
         while heap:
@@ -255,140 +257,65 @@ class Network:
             if u in done:
                 continue
             done.add(u)
-            du_m = dist_m[u]
-            for v, tt, ln in self._adj[u]:
+            for v, tt, _ in self._adj[u]:
                 nd = d + tt
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    dist_m[v] = du_m + ln
+                if v not in tt_to or nd < tt_to[v]:
+                    tt_to[v] = nd
                     heapq.heappush(heap, (nd, v))
-        self._fwd[origin] = (dist, dist_m)
-        return dist, dist_m
-
-    def _backward(self, dest: int):
-        cached = self._bwd.get(dest)
-        if cached is not None:
-            return cached
-        if dest not in self.coords:
-            raise NoPathError(f"unknown node {dest}")
-        dist: dict[int, float] = {dest: 0.0}
-        done = set()
-        heap = [(0.0, dest)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
+        tree: dict[int, tuple[float, float, int | None]] = {}
+        stack = [(origin, None, 0.0)]
+        while stack:
+            u, parent, dist_m = stack.pop()
+            if u in tree:
                 continue
-            done.add(u)
-            for v, tt, ln in self._radj[u]:
-                nd = d + tt
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        self._bwd[dest] = dist
-        return dist
+            tree[u] = (tt_to[u], dist_m, parent)
+            t_u = tt_to[u]
+            # pushed in reverse so the smallest id pops first; the relative
+            # tolerance absorbs rounding in Dijkstra's sums of edge times
+            for v, tt, ln in reversed(self._adj[u]):
+                t_v = tt_to[v]
+                if v not in tree and abs(t_u + tt - t_v) <= 1e-7 * max(1.0, t_v):
+                    stack.append((v, u, dist_m + ln))
+        self._trees[origin] = tree
+        return tree
 
-    def _base_path(self, origin: int, dest: int) -> PathResult:
-        key = (origin, dest)
-        cached = self._paths.get(key)
-        if cached is not None:
-            return cached
-        fwd_tt, _ = self._forward(origin)
-        if dest not in fwd_tt:
-            raise NoPathError(f"no route from {origin} to {dest}")
-        if origin == dest:
-            res = PathResult(0.0, 0.0, (origin,))
-            self._paths[key] = res
-            return res
-        bwd = self._backward(dest)
-        total = fwd_tt[dest]
-        tol = 1e-7 * max(1.0, total)
-        # walk forward, always taking the smallest next node that stays on
-        # a time-minimal path
-        nodes = [origin]
-        acc = 0.0
-        dist_m = 0.0
-        u = origin
-        while u != dest:
-            chosen = None
-            for v, tt, ln in self._adj[u]:
-                rest = bwd.get(v)
-                if rest is None:
-                    continue
-                if abs(acc + tt + rest - total) <= tol:
-                    chosen = (v, tt, ln)
-                    break
-            if chosen is None:  # float corner: fall back to loosest match
-                best_err = math.inf
-                for v, tt, ln in self._adj[u]:
-                    rest = bwd.get(v)
-                    if rest is None:
-                        continue
-                    err = abs(acc + tt + rest - total)
-                    if err < best_err:
-                        best_err = err
-                        chosen = (v, tt, ln)
-                if chosen is None:
-                    raise NoPathError(f"no route from {origin} to {dest}")
-            v, tt, ln = chosen
-            nodes.append(v)
-            acc += tt
-            dist_m += ln
-            u = v
-        res = PathResult(total, dist_m, tuple(nodes))
-        self._paths[key] = res
-        return res
+    def _row(self, origin: int, dest: int) -> tuple[float, float, int | None]:
+        # a tree always holds its origin, so a cached one is never empty
+        row = (self._trees.get(origin) or self._build_tree(origin)).get(dest)
+        if row is None:
+            raise NoPathError(f"unknown node {dest}")
+        return row
 
     def shortest_path(self, origin: int, dest: int, query_time_s: float = 0.0) -> PathResult:
         """Time-minimal path under the scale factor active at query_time_s."""
-        base = self._base_path(origin, dest)
-        f = self.profile.factor_at(query_time_s)
-        return PathResult(base.travel_time_s * f, base.distance_m, base.nodes)
+        tt, dist_m, parent = self._row(origin, dest)
+        tree = self._trees[origin]
+        nodes = [dest]
+        while parent is not None:
+            nodes.append(parent)
+            parent = tree[parent][2]
+        nodes.reverse()
+        return PathResult(tt * self.profile.factor_at(query_time_s), dist_m, tuple(nodes))
 
     def travel_time(self, origin: int, dest: int, query_time_s: float = 0.0) -> float:
-        fwd_tt, _ = self._forward(origin)
-        if dest not in fwd_tt:
-            raise NoPathError(f"no route from {origin} to {dest}")
-        return fwd_tt[dest] * self.profile.factor_at(query_time_s)
+        return self._row(origin, dest)[0] * self.profile.factor_at(query_time_s)
 
     def base_travel_time(self, origin: int, dest: int) -> float:
         """Unscaled travel time; with min_factor it lower-bounds any query."""
-        fwd_tt, _ = self._forward(origin)
-        if dest not in fwd_tt:
-            raise NoPathError(f"no route from {origin} to {dest}")
-        return fwd_tt[dest]
+        return self._row(origin, dest)[0]
 
     def min_factor(self) -> float:
         return min(self.profile.factors)
 
     def distance(self, origin: int, dest: int) -> float:
-        return self._base_path(origin, dest).distance_m
-
-    def precompute_od_table(self, node_subset=None):
-        """Fill the lookup caches for every OD pair in node_subset.
-
-        Later queries inside the subset return exactly what an uncached
-        query would (same code path, cached inputs).
-        """
-        nodes = sorted(set(node_subset)) if node_subset is not None else list(self.node_ids)
-        for n in nodes:
-            if n not in self.coords:
-                raise NoPathError(f"unknown node {n}")
-        for o in nodes:
-            self._forward(o)
-        for d in nodes:
-            self._backward(d)
-        for o in nodes:
-            for d in nodes:
-                self._base_path(o, d)
+        return self._row(origin, dest)[1]
 
     def diameter_distance_m(self) -> float:
-        """Largest distance of any time-minimal path between node pairs."""
+        """Largest distance of any returned path between node pairs."""
         if self._diameter_m is None:
-            worst = 0.0
-            for o in self.node_ids:
-                _, dist_m = self._forward(o)
-                worst = max(worst, max(dist_m.values()))
-            self._diameter_m = worst
+            self._diameter_m = max(
+                row[1] for o in self.node_ids
+                for row in (self._trees.get(o) or self._build_tree(o)).values())
         return self._diameter_m
 
 

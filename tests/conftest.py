@@ -67,22 +67,48 @@ def make_random_network(seed, n_nodes=8, extra_edges=6, profile=None):
     return Network(nodes, edge_list, profile=profile)
 
 
+def make_tie_grid(seed, side=6):
+    """Grid whose edges draw from few lengths and times, so many paths tie.
+
+    Times are multiples of 0.1 s, whose float sums depend on the order
+    they are added in; lengths differ, so tied paths differ in distance.
+    """
+    rng = random.Random(seed)
+    nodes = {r * side + c: (c * 400.0, r * 400.0) for r in range(side) for c in range(side)}
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            nid = r * side + c
+            for nb in ([nid + 1] if c + 1 < side else []) + ([nid + side] if r + 1 < side else []):
+                for u, v in ((nid, nb), (nb, nid)):
+                    edges.append((u, v, rng.randint(1, 9) * 100.0, rng.randint(1, 4) * 0.1))
+    return Network(nodes, edges)
+
+
 def enumerate_min_travel_time(network, origin, dest):
-    """Oracle: minimum base travel time over all simple paths (tiny graphs only)."""
-    best = [float("inf")]
+    """Oracle over all simple paths (tiny graphs only).
 
-    def walk(u, t, seen):
+    Returns the minimum base travel time, the lexicographically smallest
+    node tuple among the paths within 1e-7 (relative) of that minimum,
+    and that path's distance summed from the origin.
+    """
+    paths = []
+
+    def walk(u, t, dist, seen):
         if u == dest:
-            best[0] = min(best[0], t)
+            paths.append((t, tuple(seen), dist))
             return
-        for v, tt, _ in network._adj[u]:
+        for v, tt, ln in network._adj[u]:
             if v not in seen:
-                seen.add(v)
-                walk(v, t + tt, seen)
-                seen.remove(v)
+                seen.append(v)
+                walk(v, t + tt, dist + ln, seen)
+                seen.pop()
 
-    walk(origin, 0.0, {origin})
-    return best[0]
+    walk(origin, 0.0, 0.0, [origin])
+    best = min(t for t, _, _ in paths)
+    tol = 1e-7 * max(1.0, best)
+    nodes, dist = min((nodes, dist) for t, nodes, dist in paths if t - best <= tol)
+    return best, nodes, dist
 
 
 @pytest.fixture

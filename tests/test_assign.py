@@ -331,7 +331,7 @@ def test_reoptimize_keeps_promise_after_slowdown(line10):
     assert offer is not None and offer.wait_s == pytest.approx(300.0)
     op.book(offer, r, 0.0)
 
-    line10.set_profile(TravelTimeProfile((2.0,)))   # pickup drifts to 600 s
+    line10.profile = TravelTimeProfile((2.0,))   # pickup drifts to 600 s
     op.retime_schedules(60.0)
     summary = reoptimize(op, 60.0)
     assert summary["optimized_cost"] == summary["incumbent_cost"]

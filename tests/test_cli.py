@@ -208,11 +208,30 @@ def test_simulate_same_seed_identical_bytes(cfg_path, tmp_path):
 
 def test_scenario_override_hits_runtime_validation(cfg_path, tmp_path,
                                                    capsys):
-    # one operator cannot run a two-sided scenario: runtime error, exit 1
+    # one operator cannot run a two-sided scenario: the run rules reject
+    # the override before anything runs, as a bad argument (exit 2)
     code = main(["simulate", str(cfg_path), "--scenario", "user_decision",
                  "--out", str(tmp_path / "x")])
-    assert code == 1
+    assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--fleet-size", "0"], "--fleet-size"),
+    (["simulate", "--scenario", "user_decision"], "--scenario"),
+    (["gen-demand", "--rate", "60", "--horizon", "-100"], "--horizon"),
+    (["gen-demand", "--rate", "0", "--horizon", "600"], "--rate"),
+    (["gen-demand", "--rate", "inf", "--horizon", "600"], "--rate"),
+])
+def test_bad_overrides_exit_two_naming_the_flag(cfg_path, tmp_path, capsys,
+                                                argv, flag):
+    out = tmp_path / "out"
+    cmd, *flags = argv
+    assert main([cmd, str(cfg_path), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {flag}: "), err
+    assert "\n" not in err
+    assert not out.exists()
 
 
 def test_fleet_override_applies(cfg_path, tmp_path):

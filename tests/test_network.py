@@ -1,4 +1,4 @@
-"""Network loading, shortest paths, scaling, and cache equivalence."""
+"""Network loading, shortest paths, tie-breaking and scaling."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolmarket.network import (
     Network,
@@ -19,6 +21,7 @@ from conftest import (
     enumerate_min_travel_time,
     make_line_network,
     make_random_network,
+    make_tie_grid,
 )
 
 
@@ -109,20 +112,43 @@ def test_paths_optimal_against_enumeration():
             d = rng.randrange(7)
             if o == d:
                 continue
-            best = enumerate_min_travel_time(net, o, d)
+            best, nodes, dist = enumerate_min_travel_time(net, o, d)
             res = net.shortest_path(o, d, 0.0)
             assert res.travel_time_s == pytest.approx(best, abs=1e-9)
-            # returned node sequence is an actual path with that time
-            t_sum = 0.0
-            d_sum = 0.0
-            for a, b in zip(res.nodes, res.nodes[1:]):
-                ln, tt = net.edge_data[(a, b)]
-                t_sum += tt
-                d_sum += ln
-            assert t_sum == pytest.approx(res.travel_time_s, abs=1e-9)
-            assert d_sum == pytest.approx(res.distance_m, abs=1e-9)
+            assert res.nodes == nodes
+            assert res.distance_m == dist
             checked += 1
     assert checked > 80
+
+
+@st.composite
+def tie_heavy_networks(draw):
+    """A ring plus chords; times are few multiples of 0.1 s, so paths tie."""
+    n = draw(st.integers(3, 6))
+    times = st.integers(1, 3).map(lambda k: k * 0.1)
+    lengths = st.integers(1, 5).map(lambda k: k * 100.0)
+    edges = {(i, (i + 1) % n): (draw(lengths), draw(times)) for i in range(n)}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2 * n))
+    for u, v in chords:
+        if u != v:
+            edges.setdefault((u, v), (draw(lengths), draw(times)))
+    nodes = {i: (float(i), 0.0) for i in range(n)}
+    return Network(nodes, [(u, v, ln, tt) for (u, v), (ln, tt) in edges.items()])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(net=tie_heavy_networks())
+def test_every_pair_takes_the_smallest_time_minimal_path(net):
+    for o in net.node_ids:
+        for d in net.node_ids:
+            if o == d:
+                continue
+            best, nodes, dist = enumerate_min_travel_time(net, o, d)
+            res = net.shortest_path(o, d, 0.0)
+            assert res.nodes == nodes
+            assert res.distance_m == dist == net.distance(o, d)
+            assert net.base_travel_time(o, d) == pytest.approx(best, abs=1e-9)
 
 
 def test_tie_break_smallest_next_node():
@@ -138,25 +164,12 @@ def test_tie_break_smallest_next_node():
     assert net.shortest_path(0, 3, 0.0).nodes == (0, 1, 3)
 
 
-def test_od_cache_matches_uncached():
-    cached = make_random_network(3, n_nodes=8, extra_edges=10)
-    fresh = make_random_network(3, n_nodes=8, extra_edges=10)
-    cached.precompute_od_table(range(8))
-    for o in range(8):
-        for d in range(8):
-            a = cached.shortest_path(o, d, 0.0)
-            b = fresh.shortest_path(o, d, 0.0)
-            assert a == b
-
-
 def test_od_cache_reflects_profile_change():
     net = make_line_network(5, profile=TravelTimeProfile((1.0,), 900.0))
-    net.precompute_od_table(range(5))
-    before = net.shortest_path(0, 4, 0.0).travel_time_s
-    net.set_profile(TravelTimeProfile((1.5,), 900.0))
-    net.precompute_od_table(range(5))
-    after = net.shortest_path(0, 4, 0.0).travel_time_s
-    assert after == pytest.approx(1.5 * before)
+    before = [net.travel_time(0, d, 0.0) for d in range(5)]
+    net.profile = TravelTimeProfile((1.5,), 900.0)
+    assert [net.travel_time(0, d, 0.0) for d in range(5)] == [1.5 * t for t in before]
+    assert net.shortest_path(0, 4, 0.0).travel_time_s == 1.5 * before[4]
 
 
 def test_repeat_queries_identical():
@@ -213,3 +226,12 @@ def test_profile_file_validation(tmp_path):
 def test_diameter_distance_line():
     net = make_line_network(10, spacing_m=500.0)
     assert net.diameter_distance_m() == pytest.approx(9 * 500.0)
+
+
+def test_diameter_is_the_longest_returned_path():
+    # tied paths of unequal length: the diameter must be measured on the
+    # paths that queries return, not on Dijkstra's relaxation order
+    for seed in range(10):
+        net = make_tie_grid(seed)
+        longest = max(net.distance(o, d) for o in net.node_ids for d in net.node_ids)
+        assert net.diameter_distance_m() == longest
