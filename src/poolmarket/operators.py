@@ -15,8 +15,11 @@ dominates any distance or delay term.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .demand import Request
 from .network import Network
@@ -143,6 +146,100 @@ def resume_point(vehicle: Vehicle, network: Network, now: float) -> tuple[int, f
 # -- schedule timing and feasibility ------------------------------------
 
 
+class _Timing:
+    """Timing state of a stop sequence after its first ``len(stops)`` stops.
+
+    ``rules`` is (network, requests, pickup_times, constraints, enforce).
+    A state can be copied and extended again, so stops shared by many
+    sequences are timed once.
+    """
+
+    __slots__ = ("rules", "node", "t", "dist", "onboard", "count", "stops",
+                 "arrival_by", "pickup_by", "violation")
+
+    def __init__(self, rules, node: int, t: float, onboard):
+        self.rules, self.node, self.t, self.dist = rules, node, t, 0.0
+        self.onboard = set(onboard)
+        self.count = len(self.onboard)
+        self.stops, self.arrival_by, self.pickup_by = [], {}, {}
+        self.violation = None
+
+    def copy(self) -> "_Timing":
+        new = _Timing.__new__(_Timing)
+        new.rules, new.node, new.t, new.dist = self.rules, self.node, self.t, self.dist
+        new.onboard, new.count, new.stops = set(self.onboard), self.count, list(self.stops)
+        new.arrival_by, new.pickup_by = dict(self.arrival_by), dict(self.pickup_by)
+        new.violation = self.violation
+        return new
+
+    def broken(self, kind, rid, detail) -> bool:
+        """Keep the first violation; True when rules are enforced."""
+        if self.violation is None:
+            self.violation = Violation(kind, rid, len(self.stops), detail)
+        return self.rules[4]
+
+    def extend(self, specs) -> bool:
+        """Time specs after the stops so far.
+
+        Returns False at the first broken rule when rules are enforced;
+        the state is then spent.
+        """
+        network, requests, pickup_times, cons, _ = self.rules
+        node, t, dist, onboard, count = self.node, self.t, self.dist, self.onboard, self.count
+        stops, arrival_by, pickup_by = self.stops, self.arrival_by, self.pickup_by
+        for spec in specs:
+            if spec.node != node:
+                leg_tt = network.travel_time(node, spec.node, t)
+                dist += network.distance(node, spec.node)
+                t = t + leg_tt
+                node = spec.node
+            for rid in spec.alight:
+                if rid not in onboard:
+                    if self.broken("precedence", rid, "alight before board"):
+                        return False
+                else:
+                    onboard.discard(rid)
+                    count -= 1
+                arrival_by[rid] = t
+                direct = requests[rid].direct_time_s
+                picked = pickup_times.get(rid, pickup_by.get(rid))
+                if picked is None:
+                    if self.broken("precedence", rid, "no pickup time"):
+                        return False
+                else:
+                    limit = (1.0 + cons.max_detour_rel) * direct
+                    if t - picked > limit and self.broken(
+                            "detour", rid, f"in-vehicle {t - picked:.1f}s > {limit:.1f}s"):
+                        return False
+            for rid in spec.board:
+                if rid in onboard and self.broken("precedence", rid, "boarded twice"):
+                    return False
+                latest = requests[rid].t_req_s + cons.max_wait_s
+                if t > latest and self.broken("wait", rid, f"pickup {t:.1f}s > {latest:.1f}s"):
+                    return False
+                onboard.add(rid)
+                count += 1
+                pickup_by[rid] = t
+                if count > cons.capacity and self.broken(
+                        "capacity", rid, f"{count} onboard > {cons.capacity}"):
+                    return False
+            stops.append(Stop(spec.node, tuple(spec.board), tuple(spec.alight), t))
+            if spec.board or spec.alight:
+                t += cons.dwell_s
+        self.node, self.t, self.dist, self.count = node, t, dist, count
+        return True
+
+    def schedule(self, vehicle: Vehicle):
+        """(schedule, first violation); no schedule if a rider stays aboard
+        while rules are enforced."""
+        if self.onboard and self.rules[4]:
+            return None, Violation("precedence", min(self.onboard), len(self.stops),
+                                   "customer never alights")
+        bundle = frozenset(vehicle.onboard).union(self.pickup_by)
+        return Schedule(vehicle.vehicle_id, self.stops, bundle, self.dist,
+                        self.arrival_by, self.pickup_by), self.violation
+
+
 def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
                        requests, pickup_times, constraints: Constraints,
                        enforce: bool = True):
@@ -160,76 +257,11 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
     :param pickup_times: actual pickup times for customers already onboard
     """
     node, t = resume_point(vehicle, network, now)
-    onboard = set(vehicle.onboard)
-    count = len(onboard)
-    dist = 0.0
-    stops: list[Stop] = []
-    arrival_by: dict[int, float] = {}
-    pickup_by: dict[int, float] = {}
-    bundle = set(onboard)
-    violation = None
-
-    def violated(kind, rid, idx, detail):
-        nonlocal violation
-        if violation is None:
-            violation = Violation(kind, rid, idx, detail)
-
-    for idx, spec in enumerate(specs):
-        if spec.node != node:
-            leg_tt = network.travel_time(node, spec.node, t)
-            dist += network.distance(node, spec.node)
-            t = t + leg_tt
-            node = spec.node
-        for rid in spec.alight:
-            if rid not in onboard:
-                violated("precedence", rid, idx, "alight before board")
-                if enforce:
-                    return None, violation
-            else:
-                onboard.discard(rid)
-                count -= 1
-            arrival_by[rid] = t
-            req = requests[rid]
-            picked = pickup_times.get(rid, pickup_by.get(rid))
-            if picked is None:
-                violated("precedence", rid, idx, "no pickup time")
-                if enforce:
-                    return None, violation
-            else:
-                limit = (1.0 + constraints.max_detour_rel) * req.direct_time_s
-                if t - picked > limit:
-                    violated("detour", rid, idx,
-                             f"in-vehicle {t - picked:.1f}s > {limit:.1f}s")
-                    if enforce:
-                        return None, violation
-        for rid in spec.board:
-            if rid in onboard:
-                violated("precedence", rid, idx, "boarded twice")
-                if enforce:
-                    return None, violation
-            req = requests[rid]
-            if t > req.t_req_s + constraints.max_wait_s:
-                violated("wait", rid, idx,
-                         f"pickup {t:.1f}s > {req.t_req_s + constraints.max_wait_s:.1f}s")
-                if enforce:
-                    return None, violation
-            onboard.add(rid)
-            bundle.add(rid)
-            count += 1
-            pickup_by[rid] = t
-            if count > constraints.capacity:
-                violated("capacity", rid, idx, f"{count} onboard > {constraints.capacity}")
-                if enforce:
-                    return None, violation
-        stops.append(Stop(spec.node, tuple(spec.board), tuple(spec.alight), t))
-        if spec.board or spec.alight:
-            t += constraints.dwell_s
-    if onboard and enforce:
-        rid = min(onboard)
-        return None, Violation("precedence", rid, len(specs), "customer never alights")
-    schedule = Schedule(vehicle.vehicle_id, stops, frozenset(bundle), dist,
-                        arrival_by, pickup_by)
-    return schedule, violation
+    state = _Timing((network, requests, pickup_times, constraints, enforce),
+                    node, t, vehicle.onboard)
+    if not state.extend(specs):
+        return None, state.violation
+    return state.schedule(vehicle)
 
 
 def confirm_schedule(network: Network, vehicle: Vehicle, schedule: Schedule,
@@ -269,12 +301,6 @@ def schedule_cost(schedule: Schedule | None, objective: ObjectiveParams,
 
 
 # -- operator ------------------------------------------------------------
-
-
-def _insertion_positions(n: int):
-    for pick in range(n + 1):
-        for drop in range(pick, n + 1):
-            yield pick, drop
 
 
 @dataclass(frozen=True)
@@ -321,10 +347,7 @@ class Operator:
         return sum(v.odometer_m for v in self.vehicles)
 
     def onboard_ids(self) -> set[int]:
-        out = set()
-        for v in self.vehicles:
-            out |= v.onboard
-        return out
+        return set().union(*(v.onboard for v in self.vehicles))
 
     def active_ids(self) -> set[int]:
         return set(self.scheduled_ids) | self.onboard_ids()
@@ -340,11 +363,12 @@ class Operator:
         """
         if request.t_req_s > now + 1e-9:
             raise ConsistencyError(
-                f"request {request.request_id} offered before its request time"
-            )
+                f"request {request.request_id} offered before its request time")
         deadline = request.t_req_s + self.constraints.max_wait_s
-        reqs = dict(self.requests)
-        reqs[request.request_id] = request
+        reqs = {**self.requests, request.request_id: request}
+        rules = (self.network, reqs, self.pickup_times, self.constraints, True)
+        pick = [StopSpec(request.origin, board=(request.request_id,))]
+        drop = [StopSpec(request.destination, alight=(request.request_id,))]
         best = None  # (delta_cost, vehicle_id, schedule, base_dist)
         for veh in self.vehicles:
             node, t_ready = resume_point(veh, self.network, now)
@@ -357,35 +381,37 @@ class Operator:
                 self.network, veh, base, now, reqs, self.pickup_times,
                 self.constraints, enforce=False)
             base_cost = schedule_cost(base_sched, self.objective, reqs)
-            pick = StopSpec(request.origin, board=(request.request_id,))
-            drop = StopSpec(request.destination, alight=(request.request_id,))
-            for p_pos, d_pos in _insertion_positions(len(base)):
-                cand = (base[:p_pos] + [pick] + base[p_pos:d_pos]
-                        + [drop] + base[d_pos:])
-                sched, violation = plan_stop_sequence(
-                    self.network, veh, cand, now, reqs, self.pickup_times,
-                    self.constraints)
-                if violation is not None:
+            # candidates keep the base order, so a prefix broken before the
+            # pickup (head) or the drop-off (mid) rejects every later position
+            head = _Timing(rules, node, t_ready, veh.onboard)
+            for p_pos in range(len(base) + 1):
+                if p_pos and not head.extend(base[p_pos - 1:p_pos]):
+                    break
+                mid = head.copy()
+                if not mid.extend(pick):
                     continue
-                delta = schedule_cost(sched, self.objective, reqs) - base_cost
-                if best is None or delta < best[0]:
-                    best = (delta, veh.vehicle_id, sched, base_sched.distance_m if base_sched else 0.0)
+                for d_pos in range(p_pos, len(base) + 1):
+                    if d_pos > p_pos and not mid.extend(base[d_pos - 1:d_pos]):
+                        break
+                    cand = mid.copy()
+                    if not cand.extend(drop + base[d_pos:]):
+                        continue
+                    sched, violation = cand.schedule(veh)
+                    if violation is not None:
+                        continue
+                    delta = schedule_cost(sched, self.objective, reqs) - base_cost
+                    if best is None or delta < best[0]:
+                        best = (delta, veh.vehicle_id, sched, base_sched.distance_m)
         if best is None:
             return None
         _, vid, sched, base_dist = best
-        pickup = sched.pickup_by_request[request.request_id]
-        arrival = sched.arrival_by_request[request.request_id]
-        return Offer(
-            operator_id=self.op_id,
-            request_id=request.request_id,
-            vehicle_id=vid,
-            wait_s=pickup - request.t_req_s,
-            arrival_s=arrival,
-            fare_eur=self.fare_eur_per_m * request.direct_distance_m,
-            extra_distance_m=sched.distance_m - base_dist,
-            schedule=sched,
-            state_version=self.state_version,
-        )
+        rid = request.request_id
+        return Offer(self.op_id, rid, vid,
+                     wait_s=sched.pickup_by_request[rid] - request.t_req_s,
+                     arrival_s=sched.arrival_by_request[rid],
+                     fare_eur=self.fare_eur_per_m * request.direct_distance_m,
+                     extra_distance_m=sched.distance_m - base_dist,
+                     schedule=sched, state_version=self.state_version)
 
     def book(self, offer: Offer, request: Request, now: float):
         """Commit the offered schedule.  Raises BookingError on stale offers."""
@@ -438,8 +464,6 @@ class Operator:
         """
         if self.forecast is None:
             return []
-        import math as _math
-
         net = self.network
         for veh in self.vehicles:  # cancel old tasks, replan from scratch
             if veh.reposition_target is not None:
@@ -453,25 +477,19 @@ class Operator:
         for z in net.zone_ids:
             dep = self.forecast.expected_departures(z, now)
             arr = self.forecast.expected_arrivals(z, now)
-            need = int(_math.ceil(max(0.0, dep - arr) - 1e-9))
+            need = int(math.ceil(max(0.0, dep - arr) - 1e-9))
             surplus[z] = len(idle_by_zone.get(z, [])) - need
         sources = [(z, s) for z, s in sorted(surplus.items()) if s > 0 and idle_by_zone.get(z)]
         sinks = [(z, -s) for z, s in sorted(surplus.items()) if s < 0]
         if not sources or not sinks:
             return []
-        supply_total = sum(min(s, len(idle_by_zone[z])) for z, s in sources)
-        demand_total = sum(d for _, d in sinks)
-        if demand_total > supply_total:
-            sinks = _scale_demands(sinks, supply_total)
-            demand_total = sum(d for _, d in sinks)
-            if demand_total == 0:
-                return []
         supplies = [min(s, len(idle_by_zone[z])) for z, s in sources]
-        costs = [
-            [net.travel_time(net.zone_centroid(zs), net.zone_centroid(zd), now)
-             for zd, _ in sinks]
-            for zs, _ in sources
-        ]
+        if sum(d for _, d in sinks) > sum(supplies):
+            sinks = _scale_demands(sinks, sum(supplies))  # keeps positive deficits
+            if not sinks:
+                return []
+        costs = [[net.travel_time(net.zone_centroid(zs), net.zone_centroid(zd), now)
+                  for zd, _ in sinks] for zs, _ in sources]
         flows = _solve_transportation(costs, supplies, [d for _, d in sinks])
         moves = []
         for i, (zs, _) in enumerate(sources):
@@ -515,32 +533,14 @@ def _solve_transportation(costs, supplies, demands):
     from scipy.optimize import linprog
 
     n_s, n_d = len(supplies), len(demands)
-    n = n_s * n_d
-    c = [costs[i][j] for i in range(n_s) for j in range(n_d)]
-    a_ub, b_ub = [], []
-    for i in range(n_s):
-        row = [0.0] * n
-        for j in range(n_d):
-            row[i * n_d + j] = 1.0
-        a_ub.append(row)
-        b_ub.append(float(supplies[i]))
-    a_eq, b_eq = [], []
-    for j in range(n_d):
-        row = [0.0] * n
-        for i in range(n_s):
-            row[i * n_d + j] = 1.0
-        a_eq.append(row)
-        b_eq.append(float(demands[j]))
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n, method="highs-ds")
+    # row i of A_ub sums the flows out of source i, row j of A_eq those into sink j
+    res = linprog(np.ravel(costs), A_ub=np.kron(np.eye(n_s), np.ones(n_d)),
+                  b_ub=supplies, A_eq=np.kron(np.ones(n_s), np.eye(n_d)),
+                  b_eq=demands, bounds=(0, None), method="highs-ds")
     if not res.success:
         raise ConsistencyError(f"transportation problem unsolved: {res.message}")
-    flows = [[0] * n_d for _ in range(n_s)]
-    for i in range(n_s):
-        for j in range(n_d):
-            x = res.x[i * n_d + j]
-            k = round(x)
-            if abs(x - k) > 1e-6:
-                raise ConsistencyError("fractional transportation flow")
-            flows[i][j] = int(k)
-    return flows
+    x = res.x.reshape(n_s, n_d)
+    flows = np.rint(x)
+    if np.abs(x - flows).max() > 1e-6:
+        raise ConsistencyError("fractional transportation flow")
+    return flows.astype(int).tolist()

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 from .assign import reoptimize
 from .broker import SCENARIOS, dispatch_request
-from .demand import Request, build_forecast, generate_trips, ingest_requests, split_demand
+from .demand import (DemandError, Request, build_forecast, generate_trips,
+                     ingest_requests, require_positive, split_demand)
 from .economics import EconParams
 from .network import Network
 from .operators import (
@@ -106,9 +107,15 @@ def _validate(config: SimulationConfig):
     if config.scenario not in SCENARIOS:
         raise SimulationError("scenario",
                               f"unknown scenario {config.scenario!r}")
-    for key in ("horizon_s", "step_s"):
-        if not getattr(config, key) > 0:
-            raise SimulationError(key, "must be positive")
+    # an infinite horizon would never end the run's step loop
+    positive = [("horizon_s", config.horizon_s), ("step_s", config.step_s)]
+    if config.demand_rate_per_hour is not None:
+        positive.append(("demand.rate_per_hour", config.demand_rate_per_hour))
+    for keypath, value in positive:
+        try:
+            require_positive(keypath, value)
+        except DemandError as exc:
+            raise SimulationError(keypath, str(exc).removeprefix(f"{keypath}: ")) from None
     if not config.operators:
         raise SimulationError("operators", "at least one operator required")
     if config.scenario == "single" and len(config.operators) != 1:

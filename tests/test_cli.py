@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poolmarket.cli import main
+from poolmarket.config import ConfigError, build_simulation, load_file
 
 
 def line_config(extra: str = "", n: int = 6, demand: str | None = None) -> str:
@@ -117,6 +118,38 @@ def test_out_of_range_values_exit_two_in_validate_and_simulate(
         assert main(argv) == 2, argv
         no = _one_line_error(capsys.readouterr().err, p, keypath)
         assert needle in p.read_text().splitlines()[no - 1]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("keypath, line", [
+    ("horizon_s", "horizon_s: .inf"),
+    ("step_s", "step_s: .inf"),
+    ("step_s", "step_s: .nan"),
+])
+def test_infinite_horizon_or_step_is_rejected_before_running(
+        tmp_path, capsys, keypath, line):
+    # never simulated here: a run with an infinite horizon would not end
+    p = tmp_path / "bad.yaml"
+    text = line_config()
+    p.write_text(text.replace("horizon_s: 1200", line) if keypath == "horizon_s"
+                 else text + line + "\n")
+    assert main(["validate", str(p)]) == 2
+    no = _one_line_error(capsys.readouterr().err, p, keypath)
+    assert p.read_text().splitlines()[no - 1] == line
+    doc, src = load_file(p)
+    with pytest.raises(ConfigError, match=rf":{no}: {keypath}: must be positive"):
+        build_simulation(doc, src, tmp_path)
+
+
+@pytest.mark.parametrize("rate", ["-5", ".inf", ".nan"])
+def test_bad_demand_rate_exits_two_naming_its_line(tmp_path, capsys, rate):
+    p = tmp_path / "bad.yaml"
+    p.write_text(line_config(demand=f"demand:\n  rate_per_hour: {rate}\n"))
+    for argv in (["validate", str(p)],
+                 ["simulate", str(p), "--out", str(tmp_path / "run")]):
+        assert main(argv) == 2, argv
+        no = _one_line_error(capsys.readouterr().err, p, "demand.rate_per_hour")
+        assert p.read_text().splitlines()[no - 1] == f"  rate_per_hour: {rate}"
     assert not (tmp_path / "run").exists()
 
 

@@ -337,6 +337,95 @@ def test_insertion_matches_oracle_random():
     assert checked >= 10
 
 
+def reference_offer(op, request, now):
+    """Best insertion with every (p_pos, d_pos) candidate timed alone.
+
+    The plain scan: each candidate stop list is built in full and timed
+    from the vehicle's resume point by plan_stop_sequence.  Returns
+    (vehicle_id, schedule, base_distance_m) or None.
+    """
+    rid = request.request_id
+    reqs = {**op.requests, rid: request}
+    deadline = request.t_req_s + op.constraints.max_wait_s
+    pick = StopSpec(request.origin, board=(rid,))
+    drop = StopSpec(request.destination, alight=(rid,))
+    best = None
+    for veh in op.vehicles:
+        node, t_ready = resume_point(veh, op.network, now)
+        if t_ready + op.network.travel_time(node, request.origin, now) > deadline + 1e-9:
+            continue
+        base = veh.stops
+        base_sched, _ = plan_stop_sequence(op.network, veh, base, now, reqs,
+                                           op.pickup_times, op.constraints,
+                                           enforce=False)
+        base_cost = schedule_cost(base_sched, op.objective, reqs)
+        for p_pos in range(len(base) + 1):
+            for d_pos in range(p_pos, len(base) + 1):
+                cand = base[:p_pos] + [pick] + base[p_pos:d_pos] + [drop] + base[d_pos:]
+                sched, bad = plan_stop_sequence(op.network, veh, cand, now, reqs,
+                                                op.pickup_times, op.constraints)
+                if bad is not None:
+                    continue
+                delta = schedule_cost(sched, op.objective, reqs) - base_cost
+                if best is None or delta < best[0]:
+                    best = (delta, veh.vehicle_id, sched, base_sched.distance_m)
+    return None if best is None else best[1:]
+
+
+def booked_world(seed):
+    """Operator with 2-3 vehicles holding booked stops, riders onboard and
+    one vehicle partway along an edge, under a time-varying profile."""
+    rng = random.Random(seed)
+    cols = 6
+    profile = TravelTimeProfile((1.0, 1.3, 0.9, 1.2, 1.1), interval_s=150.0)
+    net = make_grid_network(cols, cols, spacing_m=400.0, profile=profile)
+    cons = Constraints(capacity=rng.choice((2, 4)), max_wait_s=600.0,
+                       max_detour_rel=1.0, dwell_s=rng.choice((10.0, 30.0)))
+    nodes = list(net.node_ids)
+    op = make_operator(net, rng.sample(nodes, rng.choice((2, 3))), constraints=cons)
+    for rid in range(rng.randint(4, 9)):
+        r = req(rid, 0.0, *rng.sample(nodes, 2), net)
+        offer = op.insertion_offer(r, 0.0)
+        if offer is not None:
+            op.book(offer, r, 0.0)
+    for veh in op.vehicles:  # riders of a first pickup stop are aboard
+        first = veh.stops[0] if veh.stops else None
+        if first is not None and first.board and not first.alight and rng.random() < 0.7:
+            veh.node, veh.stops = first.node, veh.stops[1:]
+            veh.onboard |= set(first.board)
+            for rid in first.board:
+                op.pickup_times[rid] = first.arrival_s
+                op.scheduled_ids.discard(rid)
+    veh = op.vehicles[rng.randrange(len(op.vehicles))]
+    prev = veh.node + 1 if veh.node % cols < cols - 1 else veh.node - 1
+    veh.edge, veh.edge_remaining_tt_base, veh.edge_remaining_m = (prev, veh.node), 25.0, 250.0
+    return op, rng, nodes
+
+
+def test_insertion_offer_equals_timing_each_candidate_alone():
+    offers = long_bases = 0
+    for seed in range(40):
+        op, rng, nodes = booked_world(seed)
+        long_bases += any(len(v.stops) >= 4 and v.onboard for v in op.vehicles)
+        for k in range(6):
+            now = 40.0 + 20.0 * k
+            r = req(100 + k, now, *rng.sample(nodes, 2), op.network)
+            offer = op.insertion_offer(r, now)
+            expected = reference_offer(op, r, now)
+            if expected is None:
+                assert offer is None
+                continue
+            vid, sched, base_dist = expected
+            assert offer.vehicle_id == vid
+            assert offer.schedule == sched  # stops with their arrival_s floats
+            assert offer.wait_s == sched.pickup_by_request[r.request_id] - now
+            assert offer.arrival_s == sched.arrival_by_request[r.request_id]
+            assert offer.extra_distance_m == sched.distance_m - base_dist
+            offers += 1
+    assert offers >= 100
+    assert long_bases >= 10
+
+
 def test_booking_applies_offered_schedule(line10):
     op = make_operator(line10, [0])
     r = req(1, 0.0, 2, 6, line10)
