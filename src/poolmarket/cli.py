@@ -24,7 +24,7 @@ from .config import (
     load_file,
 )
 from .demand import DemandError, generate_trips, require_positive, write_trip_rows
-from .game import CalibrationError, GameError, calibrate, run_game
+from .game import CalibrationError, calibrate, run_game
 from .assign import InfeasibleAssignmentError
 from .network import NetworkLoadError, NoPathError
 from .operators import ConsistencyError
@@ -41,7 +41,7 @@ from .seeds import derive_seed
 from .simcore import SimulationError, _validate, run
 
 _CONFIG_STAGE = (ConfigError, NetworkLoadError, DemandError)
-_RUN_STAGE = (SimulationError, GameError, CalibrationError, ConsistencyError,
+_RUN_STAGE = (SimulationError, CalibrationError, ConsistencyError,
               InfeasibleAssignmentError, NoPathError, OSError)
 
 

@@ -7,25 +7,26 @@ failing config is fixable without reading this module.
 
 from __future__ import annotations
 
+import dataclasses
 import re
+import types
+import typing
 from pathlib import Path
 
 import yaml
 
 from .demand import read_trip_rows, RawTrip
 from .economics import EconParams
-from .game import GameConfig, OperatorParams
-from .network import Network, TravelTimeProfile
+from .game import (CalibrationError, GameConfig, OperatorParams,
+                   _validate_calibration, _validate_game)
+from .network import Network, NetworkLoadError, TravelTimeProfile
 from .operators import Constraints
 from .simcore import (OperatorConfig, SimulationConfig, SimulationError,
                       _validate)
 
-_TOP_KEYS = {
-    "network", "network_file", "scenario", "horizon_s", "step_s",
-    "reposition_interval_s", "master_seed", "subsample_rate", "demand",
-    "operators", "constraints", "econ", "reoptimize_enabled",
-    "reposition_enabled", "per_vehicle_cap", "game", "calibration",
-}
+# top-level keys that have builders of their own
+_SECTIONS = {"network", "network_file", "demand", "operators", "constraints",
+             "econ", "game", "calibration"}
 
 
 class ConfigError(Exception):
@@ -114,11 +115,44 @@ def _cast_list(values, kind, keypath, src):
     return [_cast(v, kind, f"{keypath}[{i}]", src) for i, v in enumerate(values)]
 
 
-def _section(doc, key, src) -> dict:
-    spec = doc.get(key) or {}
+def _settings(cls, spec, where, src, sections=(), derived=()) -> dict:
+    """Keyword arguments for dataclass `cls` from the YAML mapping `spec`.
+
+    The keys, types and defaults are the dataclass's own: a key that is
+    absent or null keeps its field's default.  The caller builds the keys
+    named in `sections` and the fields named in `derived` itself.
+    """
     if not isinstance(spec, dict):
-        src.fail(key, "expected a mapping")
-    return spec
+        src.fail(where, "expected a mapping")
+    fields = [f for f in dataclasses.fields(cls)
+              if f.name not in sections and f.name not in derived]
+    _reject_unknown(spec, {f.name for f in fields} | set(sections), where, src)
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields:
+        keypath = f"{where}.{f.name}" if where else f.name
+        if spec.get(f.name) is None:
+            if (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING):
+                src.fail(keypath, "missing required key")
+            continue
+        kind = hints[f.name]
+        if isinstance(kind, types.UnionType):       # X | None
+            kind, = (k for k in typing.get_args(kind) if k is not type(None))
+        if typing.get_origin(kind) is list:
+            out[f.name] = _cast_list(spec[f.name], typing.get_args(kind)[0],
+                                     keypath, src)
+        else:
+            out[f.name] = _cast(spec[f.name], kind, keypath, src)
+    return out
+
+
+def _check(src, rule, *args, **kwargs):
+    """Apply a run, game or calibration rule; a broken one names its line."""
+    try:
+        rule(*args, **kwargs)
+    except (SimulationError, CalibrationError) as exc:
+        src.fail(exc.keypath, exc.problem)
 
 
 def _need(mapping, key, where, src):
@@ -176,11 +210,14 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
         if not isinstance(p, dict):
             src.fail("network.profile", "expected a mapping")
         _reject_unknown(p, {"factors", "interval_s"}, "network.profile", src)
-        profile = TravelTimeProfile(
-            tuple(_cast_list(p.get("factors", [1.0]), float,
-                             "network.profile.factors", src)),
-            interval_s=_opt(p, "interval_s", float, 900.0,
-                            "network.profile", src))
+        try:
+            profile = TravelTimeProfile(
+                tuple(_cast_list(p.get("factors", [1.0]), float,
+                                 "network.profile.factors", src)),
+                interval_s=_opt(p, "interval_s", float, 900.0,
+                                "network.profile", src))
+        except NetworkLoadError as exc:
+            src.fail("network.profile", str(exc))
     try:
         return Network(nodes, [tuple(e) for e in edges], zones=zones,
                        profile=profile)
@@ -188,57 +225,10 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
         src.fail("network", str(exc))
 
 
-def _build_constraints(doc, src) -> Constraints:
-    spec = _section(doc, "constraints", src)
-    _reject_unknown(spec, {"capacity", "max_wait_s", "max_detour_rel",
-                           "dwell_s"}, "constraints", src)
-    return Constraints(
-        capacity=_opt(spec, "capacity", int, 4, "constraints", src),
-        max_wait_s=_opt(spec, "max_wait_s", float, 360.0, "constraints", src),
-        max_detour_rel=_opt(spec, "max_detour_rel", float, 0.4,
-                            "constraints", src),
-        dwell_s=_opt(spec, "dwell_s", float, 0.0, "constraints", src))
-
-
-def _build_econ(doc, src) -> EconParams:
-    spec = _section(doc, "econ", src)
-    _reject_unknown(spec, {"fare_eur_per_km", "vehicle_cost_eur_per_day",
-                           "distance_cost_eur_per_km",
-                           "no_service_penalty_eur"}, "econ", src)
-    return EconParams(
-        fare_eur_per_km=_opt(spec, "fare_eur_per_km", float, 0.43,
-                             "econ", src),
-        vehicle_cost_eur_per_day=_opt(spec, "vehicle_cost_eur_per_day",
-                                      float, 25.0, "econ", src),
-        distance_cost_eur_per_km=_opt(spec, "distance_cost_eur_per_km",
-                                      float, 0.25, "econ", src),
-        no_service_penalty_eur=_opt(spec, "no_service_penalty_eur", float,
-                                    0.46, "econ", src))
-
-
-def _build_operator(spec, i, src) -> OperatorConfig:
-    where = f"operators[{i}]"
-    if not isinstance(spec, dict):
-        src.fail(where, "expected a mapping")
-    _reject_unknown(spec, {"fleet_size", "c_dis_eur_per_km",
-                           "c_vot_eur_per_h", "assignment_reward_eur",
-                           "start_nodes"}, where, src)
-    fleet = _need(spec, "fleet_size", where, src)
-    starts = spec.get("start_nodes")
-    return OperatorConfig(
-        fleet_size=_cast(fleet, int, f"{where}.fleet_size", src),
-        c_dis_eur_per_km=_opt(spec, "c_dis_eur_per_km", float, 0.25,
-                              where, src),
-        c_vot_eur_per_h=_opt(spec, "c_vot_eur_per_h", float, 16.2,
-                             where, src),
-        assignment_reward_eur=_opt(spec, "assignment_reward_eur", float,
-                                   None, where, src),
-        start_nodes=None if starts is None else _cast_list(
-            starts, int, f"{where}.start_nodes", src))
-
-
 def _build_demand(doc, src, base_dir):
-    spec = _section(doc, "demand", src)
+    spec = doc.get("demand") or {}
+    if not isinstance(spec, dict):
+        src.fail("demand", "expected a mapping")
     _reject_unknown(spec, {"rate_per_hour", "trips_file", "trips"},
                     "demand", src)
     given = [k for k in ("rate_per_hour", "trips_file", "trips") if k in spec]
@@ -265,36 +255,27 @@ def _build_demand(doc, src, base_dir):
 
 def build_simulation(doc: dict, src: _Source, base_dir) -> SimulationConfig:
     base_dir = Path(base_dir)
-    _reject_unknown(doc, _TOP_KEYS, "", src)
+    settings = _settings(SimulationConfig, doc, "", src, sections=_SECTIONS,
+                         derived={"trips", "demand_rate_per_hour"})
     network = build_network(doc, src, base_dir)
     ops_spec = _need(doc, "operators", "", src)
     if not isinstance(ops_spec, list) or not ops_spec:
         src.fail("operators", "expected a non-empty list")
-    operators = [_build_operator(s, i, src) for i, s in enumerate(ops_spec)]
+    operators = [OperatorConfig(**_settings(OperatorConfig, spec,
+                                            f"operators[{i}]", src))
+                 for i, spec in enumerate(ops_spec)]
     trips, rate = _build_demand(doc, src, base_dir)
     cfg = SimulationConfig(
         network=network,
-        scenario=_opt(doc, "scenario", str, "single", "", src),
-        horizon_s=_opt(doc, "horizon_s", float, 3600.0, "", src),
-        step_s=_opt(doc, "step_s", float, 60.0, "", src),
-        reposition_interval_s=_opt(doc, "reposition_interval_s", float,
-                                   900.0, "", src),
         operators=operators,
-        constraints=_build_constraints(doc, src),
-        econ=_build_econ(doc, src),
+        constraints=Constraints(**_settings(
+            Constraints, doc.get("constraints") or {}, "constraints", src)),
+        econ=EconParams(**_settings(EconParams, doc.get("econ") or {},
+                                    "econ", src)),
         trips=trips,
         demand_rate_per_hour=rate,
-        subsample_rate=_opt(doc, "subsample_rate", float, 1.0, "", src),
-        master_seed=_opt(doc, "master_seed", int, 0, "", src),
-        reoptimize_enabled=_opt(doc, "reoptimize_enabled", bool, True,
-                                "", src),
-        reposition_enabled=_opt(doc, "reposition_enabled", bool, True,
-                                "", src),
-        per_vehicle_cap=_opt(doc, "per_vehicle_cap", int, None, "", src))
-    try:
-        _validate(cfg)
-    except SimulationError as exc:
-        src.fail(exc.keypath, exc.problem)
+        **settings)
+    _check(src, _validate, cfg)
     return cfg
 
 
@@ -303,10 +284,8 @@ def build_game(doc: dict, src: _Source, base_dir) -> GameConfig:
     spec = doc.get("game")
     if not isinstance(spec, dict):
         src.fail("game", "missing or not a mapping")
-    _reject_unknown(spec, {"initial_params", "fleet_step", "fleet_count",
-                           "objective_options", "min_fleet_step",
-                           "min_c_vot_gap_eur_per_h", "turn_limit", "jobs"},
-                    "game", src)
+    settings = _settings(GameConfig, spec, "game", src, derived={"base"},
+                         sections={"initial_params", "objective_options"})
     raw = spec.get("initial_params")
     if raw is None:
         params = tuple(OperatorParams(oc.fleet_size, oc.c_dis_eur_per_km,
@@ -315,16 +294,9 @@ def build_game(doc: dict, src: _Source, base_dir) -> GameConfig:
     else:
         if not isinstance(raw, list):
             src.fail("game.initial_params", "expected a list of mappings")
-        params = []
-        for i, p in enumerate(raw):
-            where = f"game.initial_params[{i}]"
-            if not isinstance(p, dict) or "fleet_size" not in p:
-                src.fail(where, "expected a mapping with fleet_size")
-            params.append(OperatorParams(
-                _cast(p["fleet_size"], int, f"{where}.fleet_size", src),
-                _opt(p, "c_dis_eur_per_km", float, 0.25, where, src),
-                _opt(p, "c_vot_eur_per_h", float, 16.2, where, src)))
-        params = tuple(params)
+        params = tuple(OperatorParams(**_settings(
+                           OperatorParams, p, f"game.initial_params[{i}]", src))
+                       for i, p in enumerate(raw))
     opts = spec.get("objective_options")
     if opts is None:
         options = tuple(sorted({p.objective() for p in params},
@@ -339,16 +311,10 @@ def build_game(doc: dict, src: _Source, base_dir) -> GameConfig:
                 src.fail(where, "expected [c_dis_eur_per_km, c_vot_eur_per_h]")
             options.append(tuple(_cast_list(pair, float, where, src)))
         options = tuple(options)
-    return GameConfig(
-        base=base, initial_params=params,
-        fleet_step=_opt(spec, "fleet_step", int, 2, "game", src),
-        fleet_count=_opt(spec, "fleet_count", int, 3, "game", src),
-        objective_options=options,
-        min_fleet_step=_opt(spec, "min_fleet_step", int, 1, "game", src),
-        min_c_vot_gap_eur_per_h=_opt(spec, "min_c_vot_gap_eur_per_h", float,
-                                     1.0, "game", src),
-        turn_limit=_opt(spec, "turn_limit", int, 10, "game", src),
-        jobs=_opt(spec, "jobs", int, 1, "game", src))
+    game = GameConfig(base=base, initial_params=params,
+                      objective_options=options, **settings)
+    _check(src, _validate_game, game)
+    return game
 
 
 def build_calibration(doc: dict, src: _Source, base_dir) -> dict:
@@ -356,9 +322,9 @@ def build_calibration(doc: dict, src: _Source, base_dir) -> dict:
     spec = doc.get("calibration")
     if not isinstance(spec, dict):
         src.fail("calibration", "missing or not a mapping")
-    _reject_unknown(spec, {"fleet_sizes", "target_service_rate",
-                           "p_no_step_eur", "p_no_max_eur"},
-                    "calibration", src)
+    defaults = {"target_service_rate": 0.9, "p_no_step_eur": 0.01,
+                "p_no_max_eur": 5.0}
+    _reject_unknown(spec, {"fleet_sizes", *defaults}, "calibration", src)
     sizes = _need(spec, "fleet_sizes", "calibration", src)
     if isinstance(sizes, dict):
         _reject_unknown(sizes, {"start", "stop", "step"},
@@ -373,13 +339,8 @@ def build_calibration(doc: dict, src: _Source, base_dir) -> dict:
     elif not isinstance(sizes, list):
         src.fail("calibration.fleet_sizes",
                  "expected a list or {start, stop, step}")
-    return {
-        "base": base,
-        "fleet_sizes": _cast_list(sizes, int, "calibration.fleet_sizes", src),
-        "target_service_rate": _opt(spec, "target_service_rate", float,
-                                    0.9, "calibration", src),
-        "p_no_step_eur": _opt(spec, "p_no_step_eur", float, 0.01,
-                              "calibration", src),
-        "p_no_max_eur": _opt(spec, "p_no_max_eur", float, 5.0,
-                             "calibration", src),
-    }
+    cal = {key: _opt(spec, key, float, default, "calibration", src)
+           for key, default in defaults.items()}
+    cal["fleet_sizes"] = _cast_list(sizes, int, "calibration.fleet_sizes", src)
+    _check(src, _validate_calibration, **cal)
+    return {"base": base, **cal}

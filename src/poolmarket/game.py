@@ -11,21 +11,26 @@ ends the game with the post-first-jump parameter set for everyone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .economics import compute_effective_profit, compute_profit
-from .simcore import OperatorConfig, SimulationConfig, run
+from .simcore import OperatorConfig, SimulationConfig, SimulationError, run
 
 
-class GameError(Exception):
-    pass
+class GameError(SimulationError):
+    """A game setting rejected before the first turn."""
 
 
 class CalibrationError(Exception):
-    def __init__(self, message: str, records=None):
-        super().__init__(message)
+    """A calibration that cannot finish; ``keypath`` names a broken setting."""
+
+    def __init__(self, message: str, records=None, keypath=None):
+        super().__init__(message if keypath is None else f"{keypath}: {message}")
         self.records = records or []
+        self.keypath = keypath
+        self.problem = message
 
 
 @dataclass(frozen=True)
@@ -209,17 +214,24 @@ def _try_refine(state: GameState, config: GameConfig) -> bool:
     return did
 
 
+def _validate_game(config: GameConfig):
+    """The rules of a game's own settings; raises GameError."""
+    if not config.initial_params:
+        raise GameError("game.initial_params", "need at least one operator")
+    for i, p in enumerate(config.initial_params):
+        if p.objective() not in config.objective_options:
+            raise GameError(f"game.initial_params[{i}]",
+                            f"objective {p.objective()} is not among "
+                            "objective_options")
+    for key in ("fleet_step", "fleet_count"):
+        if getattr(config, key) < 1:
+            raise GameError(f"game.{key}", "must be >= 1")
+
+
 def run_game(config: GameConfig) -> GameState:
     """Alternate turns until equilibrium, alternation, or the turn cap."""
-    params = [p for p in config.initial_params]
-    if not params:
-        raise GameError("need at least one operator")
-    for p in params:
-        if p.objective() not in config.objective_options:
-            raise GameError(
-                f"initial objective {p.objective()} not on the option axis")
-    if config.fleet_step < 1 or config.fleet_count < 1:
-        raise GameError("fleet axis must have positive step and count")
+    _validate_game(config)
+    params = list(config.initial_params)
     state = GameState(params=params, fleet_step=config.fleet_step,
                       objective_options=tuple(config.objective_options))
     n_ops = len(params)
@@ -265,6 +277,25 @@ def _sweep_configs(base: SimulationConfig, fleet_sizes) -> list:
     return out
 
 
+def _validate_calibration(fleet_sizes, target_service_rate: float,
+                          p_no_step_eur: float, p_no_max_eur: float):
+    """The rules of a calibration's settings; raises CalibrationError."""
+    if not fleet_sizes or min(fleet_sizes) < 1:
+        raise CalibrationError(
+            f"need at least one size, all >= 1, got {fleet_sizes}",
+            keypath="calibration.fleet_sizes")
+    if not 0.0 < target_service_rate <= 1.0:
+        raise CalibrationError(f"must be in (0, 1], got {target_service_rate}",
+                               keypath="calibration.target_service_rate")
+    # the penalty grid has p_no_max_eur / p_no_step_eur steps
+    if not 0.0 < p_no_step_eur < math.inf:
+        raise CalibrationError(f"must be positive and finite, got {p_no_step_eur}",
+                               keypath="calibration.p_no_step_eur")
+    if not 0.0 <= p_no_max_eur < math.inf:
+        raise CalibrationError(f"must be >= 0 and finite, got {p_no_max_eur}",
+                               keypath="calibration.p_no_max_eur")
+
+
 def calibrate(base: SimulationConfig, fleet_sizes, target_service_rate: float,
               p_no_step_eur: float = 0.01, p_no_max_eur: float = 5.0,
               jobs: int = 1) -> dict:
@@ -275,10 +306,8 @@ def calibrate(base: SimulationConfig, fleet_sizes, target_service_rate: float,
     cost, service and refusal counts are aggregated over operators.
     """
     sizes = sorted(set(int(n) for n in fleet_sizes))
-    if not sizes or sizes[0] < 1:
-        raise CalibrationError("fleet sizes must be positive")
-    if not 0.0 < target_service_rate <= 1.0:
-        raise CalibrationError("target service rate must be in (0, 1]")
+    _validate_calibration(sizes, target_service_rate, p_no_step_eur,
+                          p_no_max_eur)
     econ = base.econ
     results = _run_cells(_sweep_configs(base, sizes), jobs)
     records = []

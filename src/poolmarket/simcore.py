@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .assign import reoptimize
 from .broker import SCENARIOS, dispatch_request
@@ -57,7 +58,7 @@ class OperatorConfig:
     c_dis_eur_per_km: float = 0.25
     c_vot_eur_per_h: float = 16.2
     assignment_reward_eur: float | None = None
-    start_nodes: list | None = None     # pins vehicle starts; else seeded
+    start_nodes: list[int] | None = None    # pins vehicle starts; else seeded
 
 
 @dataclass
@@ -108,7 +109,8 @@ def _validate(config: SimulationConfig):
         raise SimulationError("scenario",
                               f"unknown scenario {config.scenario!r}")
     # an infinite horizon would never end the run's step loop
-    positive = [("horizon_s", config.horizon_s), ("step_s", config.step_s)]
+    positive = [("horizon_s", config.horizon_s), ("step_s", config.step_s),
+                ("reposition_interval_s", config.reposition_interval_s)]
     if config.demand_rate_per_hour is not None:
         positive.append(("demand.rate_per_hour", config.demand_rate_per_hour))
     for keypath, value in positive:
@@ -116,6 +118,13 @@ def _validate(config: SimulationConfig):
             require_positive(keypath, value)
         except DemandError as exc:
             raise SimulationError(keypath, str(exc).removeprefix(f"{keypath}: ")) from None
+    if config.constraints.capacity < 1:
+        raise SimulationError("constraints.capacity", "must be >= 1")
+    for key in ("max_wait_s", "max_detour_rel", "dwell_s"):
+        value = getattr(config.constraints, key)
+        if not 0.0 <= value < math.inf:
+            raise SimulationError(f"constraints.{key}",
+                                  f"must be >= 0 and finite, got {value}")
     if not config.operators:
         raise SimulationError("operators", "at least one operator required")
     if config.scenario == "single" and len(config.operators) != 1:
@@ -181,20 +190,20 @@ class _Engine:
                                       derive_seed(seed, "split"))
         forecast = None
         if cfg.reposition_enabled:
-            interval = cfg.reposition_interval_s or 900.0
-            forecast = build_forecast(trips, self.network, interval_s=interval,
+            forecast = build_forecast(trips, self.network,
+                                      interval_s=cfg.reposition_interval_s,
                                       penetration=cfg.subsample_rate,
                                       num_operators=len(cfg.operators))
         self.operators = []
         for i, oc in enumerate(cfg.operators):
-            dist_w = oc.c_dis_eur_per_km / 1000.0
-            time_w = oc.c_vot_eur_per_h / 3600.0
-            reward = oc.assignment_reward_eur
-            if reward is None:
-                reward = default_assignment_reward(
-                    self.network, dist_w, time_w, cfg.horizon_s,
-                    cfg.constraints.capacity)
-            objective = ObjectiveParams(dist_w, time_w, reward)
+            objective = ObjectiveParams.from_rates(
+                oc.c_dis_eur_per_km, oc.c_vot_eur_per_h, oc.assignment_reward_eur)
+            if objective.assignment_reward is None:
+                objective = replace(
+                    objective, assignment_reward=default_assignment_reward(
+                        self.network, objective.dist_weight,
+                        objective.time_weight, cfg.horizon_s,
+                        cfg.constraints.capacity))
             op = Operator(i, self.network, oc.fleet_size, cfg.constraints,
                           objective, cfg.econ.fare_eur_per_m,
                           start_seed=derive_seed(cfg.master_seed, "veh-start", str(i)),
@@ -345,9 +354,7 @@ class _Engine:
             if profile.factor_at(prev) != profile.factor_at(t):
                 for op in self.operators:
                     op.retime_schedules(t)
-            boundary = (interval and interval > 0
-                        and abs(t / interval - round(t / interval)) < 1e-9
-                        and t > 0)
+            boundary = abs(t / interval - round(t / interval)) < 1e-9
             if boundary and cfg.reposition_enabled:
                 for op in self.operators:
                     op.reposition(t)

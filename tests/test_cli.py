@@ -108,6 +108,20 @@ def test_wrong_value_types_exit_two_naming_file_line_and_key(
     ("subsample_rate", lambda t: t + "subsample_rate: 1.5\n", "1.5"),
     ("operators[0].start_nodes",
      lambda t: t.replace("start_nodes: [0]", "start_nodes: [0, 1]"), "[0, 1]"),
+    ("reposition_interval_s", lambda t: t + "reposition_interval_s: .inf\n",
+     ".inf"),
+    ("reposition_interval_s", lambda t: t + "reposition_interval_s: 0\n",
+     "reposition_interval_s: 0"),
+    ("reposition_interval_s", lambda t: t + "reposition_interval_s: -60\n",
+     "-60"),
+    ("constraints.capacity", lambda t: t + "constraints:\n  capacity: 0\n",
+     "capacity: 0"),
+    ("constraints.dwell_s", lambda t: t + "constraints:\n  dwell_s: -100\n",
+     "-100"),
+    ("constraints.max_wait_s",
+     lambda t: t + "constraints:\n  max_wait_s: .inf\n", ".inf"),
+    ("constraints.max_detour_rel",
+     lambda t: t + "constraints:\n  max_detour_rel: -1\n", "-1"),
 ])
 def test_out_of_range_values_exit_two_in_validate_and_simulate(
         tmp_path, capsys, keypath, edit, needle):
@@ -153,6 +167,47 @@ def test_bad_demand_rate_exits_two_naming_its_line(tmp_path, capsys, rate):
     assert not (tmp_path / "run").exists()
 
 
+_BAD_GAME_OR_CALIBRATION = [
+    ("game", "game.fleet_step", "game:\n  fleet_step: 0\n", "fleet_step"),
+    ("game", "game.fleet_count", "game:\n  fleet_count: 0\n", "fleet_count"),
+    ("game", "game.initial_params[0]",
+     "game:\n  initial_params:\n    - {fleet_size: 1, c_vot_eur_per_h: 99}\n"
+     "  objective_options:\n    - [0.25, 16.2]\n", "99"),
+    ("game", "game.initial_params[0].colour",
+     "game:\n  initial_params:\n    - {fleet_size: 1, colour: red}\n", "red"),
+    ("calibrate", "calibration.target_service_rate",
+     "calibration:\n  fleet_sizes: [1, 2]\n  target_service_rate: 1.5\n",
+     "1.5"),
+    ("calibrate", "calibration.fleet_sizes",
+     "calibration:\n  fleet_sizes: [0, 1]\n", "[0, 1]"),
+    ("calibrate", "calibration.p_no_step_eur",
+     "calibration:\n  fleet_sizes: [1, 2]\n  p_no_step_eur: 0\n",
+     "p_no_step_eur: 0"),
+    ("calibrate", "calibration.p_no_step_eur",
+     "calibration:\n  fleet_sizes: [1, 2]\n  p_no_step_eur: .nan\n", ".nan"),
+    ("calibrate", "calibration.p_no_step_eur",
+     "calibration:\n  fleet_sizes: [1, 2]\n  p_no_step_eur: -0.01\n",
+     "-0.01"),
+    ("calibrate", "calibration.p_no_max_eur",
+     "calibration:\n  fleet_sizes: [1, 2]\n  p_no_max_eur: .inf\n", ".inf"),
+]
+
+
+@pytest.mark.parametrize("command, keypath, extra, needle",
+                         _BAD_GAME_OR_CALIBRATION,
+                         ids=[f"{c[1]}={c[3]}" for c in _BAD_GAME_OR_CALIBRATION])
+def test_bad_game_and_calibration_settings_exit_two_before_running(
+        tmp_path, capsys, command, keypath, extra, needle):
+    p = tmp_path / "bad.yaml"
+    p.write_text(line_config(extra=extra))
+    for argv in (["validate", str(p)],
+                 [command, str(p), "--out", str(tmp_path / "run")]):
+        assert main(argv) == 2, argv
+        no = _one_line_error(capsys.readouterr().err, p, keypath)
+        assert needle in p.read_text().splitlines()[no - 1]
+    assert not (tmp_path / "run").exists()
+
+
 def _key_paths(node, path=()):
     """Access paths of every mapping value and list item below node."""
     if isinstance(node, dict):
@@ -166,16 +221,36 @@ def _key_paths(node, path=()):
         yield from _key_paths(child, path + (key,))
 
 
-_TOY = yaml.safe_load(line_config())
+# every section, so that each builder and rule is fuzzed
+_TOY = yaml.safe_load(line_config(extra=(
+    "constraints: {capacity: 2, max_wait_s: 300, max_detour_rel: 0.5,"
+    " dwell_s: 10}\n"
+    "econ: {fare_eur_per_km: 0.5, vehicle_cost_eur_per_day: 20,"
+    " distance_cost_eur_per_km: 0.2, no_service_penalty_eur: 0.4}\n"
+    "game:\n"
+    "  initial_params:\n"
+    "    - {fleet_size: 1, c_dis_eur_per_km: 0.25, c_vot_eur_per_h: 16.2}\n"
+    "  objective_options: [[0.25, 16.2], [0.25, 8.1]]\n"
+    "  fleet_step: 1\n"
+    "  fleet_count: 2\n"
+    "  turn_limit: 2\n"
+    "calibration:\n"
+    "  fleet_sizes: [1, 2]\n"
+    "  target_service_rate: 0.5\n"
+    "  p_no_step_eur: 0.05\n"
+    "  p_no_max_eur: 2.0\n")).replace(
+        "  edges:\n", "  profile: {factors: [1.0, 1.3], interval_s: 600}\n"
+                      "  edges:\n"))
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
                      st.floats(), st.text(max_size=8))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(list(_key_paths(_TOY))),
        value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4)))
-def test_any_one_replaced_value_exits_zero_or_two(tmp_path, path, value):
+def test_any_one_replaced_value_exits_zero_or_two(tmp_path, capsys, path,
+                                                  value):
     doc = copy.deepcopy(_TOY)
     *parents, last = path
     node = doc
@@ -184,7 +259,11 @@ def test_any_one_replaced_value_exits_zero_or_two(tmp_path, path, value):
     node[last] = value
     p = tmp_path / "fuzz.yaml"
     p.write_text(yaml.safe_dump(doc))
-    assert main(["validate", str(p)]) in (0, 2)
+    code = main(["validate", str(p)])
+    assert code in (0, 2)
+    if code == 2:
+        assert re.fullmatch(rf"error: {re.escape(str(p))}(:\d+)?: "
+                            r"[\w.\[\]]+: [^\n]+\n", capsys.readouterr().err)
 
 
 def test_errors_in_list_items_point_at_their_own_line(tmp_path, capsys):
