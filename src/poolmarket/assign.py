@@ -205,8 +205,7 @@ def _restricted_specs(specs, keep_ids):
 
 def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
                     constraints: Constraints, objective: ObjectiveParams,
-                    now: float, pickup_times, incumbent_specs=None,
-                    per_vehicle_cap: int | None = None) -> list:
+                    now: float, pickup_times, incumbent_specs=None) -> list:
     """All servable (vehicle, bundle) options with their best schedules.
 
     candidate_ids are the waiting requests open for reassignment; each
@@ -285,18 +284,6 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
             entries.append(V2RB(
                 vehicle_id=veh.vehicle_id, bundle=base | add, cost=cost,
                 schedule=sched, grade=len(add), grandfathered=grand))
-        entries.sort(key=lambda z: (z.grade, z.key()))
-        if per_vehicle_cap is not None and len(entries) > per_vehicle_cap:
-            keep = [z for z in entries
-                    if z.grandfathered or z.bundle == base]
-            kept = set(id(z) for z in keep)
-            for z in entries:
-                if len(keep) >= per_vehicle_cap and id(z) not in kept:
-                    continue
-                if id(z) not in kept:
-                    keep.append(z)
-                    kept.add(id(z))
-            entries = sorted(keep, key=lambda z: (z.grade, z.key()))
         out.extend(sorted(entries, key=lambda z: z.key()))
     return out
 
@@ -463,7 +450,7 @@ def solve_ilp(problem: AssignmentProblem, initial_keys=None) -> AssignmentSoluti
 # -- re-optimization entry point -----------------------------------------
 
 
-def reoptimize(operator, now: float, per_vehicle_cap: int | None = None) -> dict:
+def reoptimize(operator, now: float) -> dict:
     """Globally reassign the operator's open requests across its fleet.
 
     Enumerates options, solves the assignment exactly, applies the
@@ -493,7 +480,7 @@ def reoptimize(operator, now: float, per_vehicle_cap: int | None = None) -> dict
     options = enumerate_v2rbs(
         net, vehicles, operator.requests, candidates, operator.constraints,
         operator.objective, now, operator.pickup_times,
-        incumbent_specs=incumbent_specs, per_vehicle_cap=per_vehicle_cap)
+        incumbent_specs=incumbent_specs)
     problem = build_problem(options, assigned_ids=assigned, optional_ids=(),
                             vehicle_ids=[v.vehicle_id for v in vehicles])
     solution = solve_ilp(problem, initial_keys=incumbent_keys or None)

@@ -24,18 +24,17 @@ from .config import (
     load_file,
 )
 from .demand import DemandError, generate_trips, require_positive, write_trip_rows
-from .game import CalibrationError, calibrate, run_game
+from .game import CalibrationError, _validate_calibration, calibrate, run_game
 from .assign import InfeasibleAssignmentError
 from .network import NetworkLoadError, NoPathError
 from .operators import ConsistencyError
 from .report import (
     HISTORY_COLUMNS,
-    _write_records,
-    _write_table,
     compute_kpis,
     emit,
     read_events,
     replay_kpis,
+    write_rows,
 )
 from .seeds import derive_seed
 from .simcore import SimulationError, _validate, run
@@ -132,16 +131,9 @@ def cmd_game(args) -> int:
                                             master_seed=args.seed)
     state = run_game(game_cfg)
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     final = state.final_params
     prov = {"master_seed": game_cfg.base.master_seed, "status": state.status}
-    files = []
-    p = out / "history.csv"
-    _write_table(p, HISTORY_COLUMNS, state.history, prov)
-    files.append(p)
-    p = out / "history.jsonl"
-    _write_records(p, state.history, prov)
-    files.append(p)
+    files = write_rows(out, "history", HISTORY_COLUMNS, state.history, prov)
     extra = {
         "status": state.status,
         "turns": state.turn,
@@ -164,20 +156,21 @@ def _emit_sweep(out: Path, records, prov) -> list:
             "served_direct_distance_m", "fleet_distance_m", "n_no_offer",
             "cost_eur", "revenue_eur", "profit_eur", "eff_profit_eur")
     rows = [{c: r.get(c, "") for c in cols} for r in records]
-    a = out / "calibration.csv"
-    _write_table(a, cols, rows, prov)
-    b = out / "calibration.jsonl"
-    _write_records(b, rows, prov)
-    return [a, b]
+    return write_rows(out, "calibration", cols, rows, prov)
 
 
 def cmd_calibrate(args) -> int:
     doc, src = load_file(args.config)
     cal = build_calibration(doc, src, Path(args.config).parent)
-    target = args.target if args.target is not None \
-        else cal["target_service_rate"]
+    if args.target is not None:
+        try:
+            _validate_calibration(cal["fleet_sizes"], args.target,
+                                  cal["p_no_step_eur"], cal["p_no_max_eur"])
+        except CalibrationError as exc:
+            raise ConfigError(f"--target: {exc.problem}") from None
+        cal["target_service_rate"] = args.target
+    target = cal["target_service_rate"]
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     prov = {"master_seed": cal["base"].master_seed}
     try:
         res = calibrate(cal["base"], cal["fleet_sizes"], target,

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network, _parse_rows
+from .network import Network
 
 
 class DemandError(ValueError):
@@ -44,18 +44,44 @@ SPEED_MAX_MPS = 30.0
 
 
 def read_trip_rows(path) -> list[RawTrip]:
-    """Parse a trip file; raises DemandError naming the offending row."""
+    """Parse a trip file; raises DemandError naming the offending row.
+
+    The delimiter is sniffed from {comma, semicolon, tab, space}; a single
+    header row is skipped when its cells do not parse as numbers.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise DemandError(f"{path}: cannot read file ({exc})") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise DemandError(f"{path}: file is empty")
+    delim = max(",;\t", key=lines[0].count)
+    if lines[0].count(delim) == 0:
+        delim = None  # whitespace split
     trips = []
     seen_ids = set()
-    for row_no, values in _parse_rows(
-            path, 5, "id,request_time_s,origin_node,destination_node"
-            "[,recorded_duration_s]", optional_last=True, error=DemandError):
+    for row_no, line in enumerate(lines, start=1):
+        try:
+            values = [float(c) for c in line.split(delim) if c.strip()]
+        except ValueError:
+            if row_no == 1:
+                continue  # header
+            raise DemandError(
+                f"{path}: row {row_no}: non-numeric cell in {line!r}") from None
+        if len(values) not in (4, 5):
+            raise DemandError(
+                f"{path}: row {row_no}: expected id,request_time_s,origin_node,"
+                f"destination_node[,recorded_duration_s], got {len(values)} cells")
         tid = int(values[0])
         if tid in seen_ids:
             raise DemandError(f"{path}: row {row_no}: duplicate trip id {tid}")
         seen_ids.add(tid)
         dur = values[4] if len(values) == 5 else None
         trips.append(RawTrip(tid, values[1], int(values[2]), int(values[3]), dur))
+    if not trips:
+        raise DemandError(f"{path}: no data rows")
     return trips
 
 
@@ -80,10 +106,8 @@ def ingest_requests(trips, network: Network, subsample_rate: float = 1.0,
     Direct distance and time come from a shortest-path query at the
     request time.
 
-    :param trips: path to a trip file or an iterable of RawTrip
+    :param trips: an iterable of RawTrip
     """
-    if isinstance(trips, (str, Path)):
-        trips = read_trip_rows(trips)
     if not (0.0 <= subsample_rate <= 1.0):
         raise DemandError(f"subsample_rate must be in [0,1], got {subsample_rate}")
     rng = random.Random(seed)
@@ -132,8 +156,8 @@ def require_positive(name: str, value: float) -> None:
         raise DemandError(f"{name}: must be positive and finite, got {value}")
 
 
-def generate_trips(node_ids, rate_per_hour: float, horizon_s: float, seed: int,
-                   id_start: int = 0) -> list[RawTrip]:
+def generate_trips(node_ids, rate_per_hour: float, horizon_s: float,
+                   seed: int) -> list[RawTrip]:
     """Synthetic Poisson demand: exponential gaps, uniform distinct OD pairs.
 
     Times are floored to whole seconds.  No recorded duration, so the
@@ -148,7 +172,6 @@ def generate_trips(node_ids, rate_per_hour: float, horizon_s: float, seed: int,
     rate_per_s = rate_per_hour / 3600.0
     trips = []
     t = 0.0
-    tid = id_start
     while True:
         t += rng.expovariate(rate_per_s)
         if t >= horizon_s:
@@ -157,8 +180,7 @@ def generate_trips(node_ids, rate_per_hour: float, horizon_s: float, seed: int,
         d = nodes[rng.randrange(len(nodes))]
         while d == o:
             d = nodes[rng.randrange(len(nodes))]
-        trips.append(RawTrip(tid, float(int(t)), o, d, None))
-        tid += 1
+        trips.append(RawTrip(len(trips), float(int(t)), o, d, None))
     return trips
 
 
@@ -203,8 +225,6 @@ def build_forecast(trips, network: Network, interval_s: float = 900.0,
 
     :param trips: the full trip list (before subsampling)
     """
-    if isinstance(trips, (str, Path)):
-        trips = read_trip_rows(trips)
     dep: dict[tuple[int, int], float] = {}
     arr: dict[tuple[int, int], float] = {}
     for t in trips:

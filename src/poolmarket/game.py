@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .economics import compute_effective_profit, compute_profit
-from .simcore import OperatorConfig, SimulationConfig, SimulationError, run
+from .simcore import (OperatorConfig, SimulationConfig, SimulationError,
+                      _validate, run)
 
 
 class GameError(SimulationError):
@@ -226,6 +227,16 @@ def _validate_game(config: GameConfig):
     for key in ("fleet_step", "fleet_count"):
         if getattr(config, key) < 1:
             raise GameError(f"game.{key}", "must be >= 1")
+    # a cell runs unless several operators get no turn
+    if len(config.initial_params) == 1 or config.turn_limit >= 1:
+        try:
+            _validate(_cell_configs(config.base, config.initial_params))
+        except SimulationError as exc:
+            if not exc.keypath.startswith("operators"):
+                raise
+            raise GameError("game.initial_params"
+                            + exc.keypath.removeprefix("operators"),
+                            exc.problem) from None
 
 
 def run_game(config: GameConfig) -> GameState:

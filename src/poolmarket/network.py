@@ -18,11 +18,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from pathlib import Path
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 
 class NetworkLoadError(ValueError):
-    """Input file or network structure violates the required format."""
+    """Network structure or travel-time profile violates the required format."""
 
 
 class NoPathError(ValueError):
@@ -98,50 +101,6 @@ class TravelTimeProfile:
         return base
 
 
-def _parse_rows(path, n_cols: int, expected: str, optional_last: bool = False,
-                error=NetworkLoadError):
-    """Read a delimiter-separated table, yielding (row_no, cells) of floats.
-
-    Delimiter is sniffed from {comma, semicolon, tab, space}; a single
-    header row is skipped when its cells do not parse as numbers.  Bad
-    input raises ``error`` naming the file and row; ``expected``
-    describes the columns in that message.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise error(f"{path}: cannot read file ({exc})") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise error(f"{path}: file is empty")
-    first = lines[0]
-    delim = max(",;\t", key=first.count)
-    if first.count(delim) == 0:
-        delim = None  # whitespace split
-    rows = []
-    for row_no, line in enumerate(lines, start=1):
-        cells = [c.strip() for c in (line.split(delim) if delim else line.split())]
-        cells = [c for c in cells if c != ""]
-        try:
-            values = [float(c) for c in cells]
-        except ValueError:
-            if row_no == 1:
-                continue  # header
-            raise error(
-                f"{path}: row {row_no}: non-numeric cell in {line!r}"
-            ) from None
-        lo = n_cols - 1 if optional_last else n_cols
-        if not (lo <= len(values) <= n_cols):
-            raise error(
-                f"{path}: row {row_no}: expected {expected}, got {len(values)} cells"
-            )
-        rows.append((row_no, values))
-    if not rows:
-        raise error(f"{path}: no data rows")
-    return rows
-
-
 class Network:
     """Directed road graph with zones and a travel-time profile.
 
@@ -156,7 +115,6 @@ class Network:
             raise NetworkLoadError("network has no nodes")
         self.node_ids = tuple(sorted(self.coords))
         adj: dict[int, list] = {n: [] for n in self.node_ids}
-        radj: dict[int, list] = {n: [] for n in self.node_ids}
         self.edge_data: dict[tuple[int, int], tuple[float, float]] = {}
         for u, v, length_m, tt_s in edges:
             u, v = int(u), int(v)
@@ -173,9 +131,7 @@ class Network:
                 raise NetworkLoadError(f"duplicate edge ({u},{v})")
             self.edge_data[(u, v)] = (length_m, tt_s)
             adj[u].append((v, tt_s, length_m))
-            radj[v].append((u, tt_s, length_m))
         self._adj = {n: tuple(sorted(lst)) for n, lst in adj.items()}
-        self._radj = {n: tuple(sorted(lst)) for n, lst in radj.items()}
         if zones is None:
             self.zones = {n: 0 for n in self.node_ids}
         else:
@@ -196,18 +152,20 @@ class Network:
     # -- validation ------------------------------------------------------
 
     def _check_strongly_connected(self):
+        """Every node is reachable from and to the first one; else name the
+        smallest node that is not."""
+        index = {n: i for i, n in enumerate(self.node_ids)}
+        n = len(self.node_ids)
+        ends = np.array([(index[u], index[v]) for u, v in self.edge_data],
+                        dtype=int).reshape(-1, 2)
+        adj = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                                shape=(n, n))
         start = self.node_ids[0]
-        for adj, direction in ((self._adj, "from"), (self._radj, "to")):
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v, _, _ in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) != len(self.node_ids):
-                bad = min(set(self.node_ids) - seen)
+        for graph, direction in ((adj, "from"), (adj.T, "to")):
+            reached = np.zeros(n, dtype=bool)
+            reached[breadth_first_order(graph, 0, return_predecessors=False)] = True
+            if not reached.all():
+                bad = self.node_ids[int(np.argmin(reached))]
                 raise NetworkLoadError(
                     f"node {bad} not reachable {direction} node {start}: "
                     "demand subgraph must be strongly connected"
@@ -317,55 +275,3 @@ class Network:
                 row[1] for o in self.node_ids
                 for row in (self._trees.get(o) or self._build_tree(o)).values())
         return self._diameter_m
-
-
-def load_network(nodes_path, edges_path, zones_path=None, profile_path=None) -> Network:
-    """Load and validate a network from delimiter-separated text files."""
-    node_rows = _parse_rows(nodes_path, 3, "columns node_id,x,y")
-    nodes = {}
-    for row_no, (nid, x, y) in node_rows:
-        nid = int(nid)
-        if nid in nodes:
-            raise NetworkLoadError(f"{nodes_path}: row {row_no}: duplicate node id {nid}")
-        nodes[nid] = (x, y)
-    edge_rows = _parse_rows(edges_path, 4, "columns from_node,to_node,length_m,travel_time_s")
-    edges = []
-    for row_no, (u, v, ln, tt) in edge_rows:
-        u, v = int(u), int(v)
-        if u not in nodes or v not in nodes:
-            raise NetworkLoadError(f"{edges_path}: row {row_no}: unknown node in edge ({u},{v})")
-        if ln <= 0 or tt <= 0:
-            raise NetworkLoadError(
-                f"{edges_path}: row {row_no}: length and travel time must be positive"
-            )
-        edges.append((u, v, ln, tt))
-    zones = None
-    if zones_path is not None:
-        zone_rows = _parse_rows(zones_path, 2, "columns node_id,zone_id")
-        zones = {}
-        for row_no, (nid, z) in zone_rows:
-            nid = int(nid)
-            if nid not in nodes:
-                raise NetworkLoadError(f"{zones_path}: row {row_no}: unknown node {nid}")
-            zones[nid] = int(z)
-    profile = None
-    if profile_path is not None:
-        prof_rows = _parse_rows(profile_path, 2, "columns interval_start_s,scale_factor")
-        starts = [r[1][0] for r in prof_rows]
-        factors = [r[1][1] for r in prof_rows]
-        if starts[0] != 0.0:
-            raise NetworkLoadError(f"{profile_path}: first interval must start at 0")
-        if len(starts) > 1:
-            interval = starts[1] - starts[0]
-            if interval <= 0:
-                raise NetworkLoadError(f"{profile_path}: interval starts must increase")
-            for i in range(1, len(starts)):
-                if abs(starts[i] - i * interval) > 1e-9:
-                    raise NetworkLoadError(
-                        f"{profile_path}: row {prof_rows[i][0]}: intervals must be contiguous "
-                        f"and uniform (expected start {i * interval})"
-                    )
-        else:
-            interval = 900.0
-        profile = TravelTimeProfile(factors, interval)
-    return Network(nodes, edges, zones=zones, profile=profile)

@@ -25,10 +25,6 @@ HISTORY_COLUMNS = ("turn", "operator", "fleet_size", "obj_index",
                    "n_no_offer")
 
 
-class ReportError(Exception):
-    pass
-
-
 @dataclass
 class KPIReport:
     scenario: str
@@ -117,19 +113,17 @@ def _build_rows(scenario: str, phase: str, stats, n_requests: int,
     return rows, flags
 
 
-def compute_kpis(result, econ: EconParams | None = None,
-                 phase: str = "sim") -> KPIReport:
+def compute_kpis(result, phase: str = "sim") -> KPIReport:
     """One row per operator plus a fleet-wide row.
 
     Waits and detours are the booking-time promises; served fractions are
     against all requests of the run, so operator rows sum to the total.
     """
-    econ = econ if econ is not None else result.econ
     agg_no = sum(1 for o in result.outcomes.values()
                  if o["operator"] is None)
     rows, flags = _build_rows(result.scenario, phase, result.operator_stats,
                               len(result.outcomes), agg_no,
-                              result.horizon_s, econ)
+                              result.horizon_s, result.econ)
     return KPIReport(result.scenario, phase, rows, flags)
 
 
@@ -183,58 +177,37 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_table(path: Path, columns, rows, provenance):
-    lines = []
-    for key in sorted(provenance):
-        lines.append(f"# {key}={provenance[key]}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+def write_rows(out_dir, stem: str, columns, rows, provenance) -> list:
+    """Write one table as ``<stem>.csv`` and ``<stem>.jsonl``; return both paths.
 
-
-def _write_records(path: Path, rows, provenance):
-    lines = [json.dumps({"meta": provenance}, sort_keys=True)]
-    for row in rows:
-        lines.append(json.dumps(row, sort_keys=True))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def emit(report: KPIReport, out_dir, history=None, provenance=None,
-         formats=("csv", "jsonl")) -> list:
-    """Write the KPI table (and optionally a game history) deterministically.
-
-    Same report in, byte-identical files out; floats are emitted with full
-    round-trip precision.
+    Each file starts with the provenance: ``# key=value`` lines in the
+    table, a ``{"meta": ...}`` record in the JSON lines.  Same rows in,
+    byte-identical files out; floats keep full round-trip precision.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    table, records = out / f"{stem}.csv", out / f"{stem}.jsonl"
+    lines = [f"# {key}={provenance[key]}" for key in sorted(provenance)]
+    lines.append(",".join(columns))
+    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+    table.write_text("\n".join(lines) + "\n")
+    lines = [json.dumps({"meta": provenance}, sort_keys=True)]
+    lines += [json.dumps(row, sort_keys=True) for row in rows]
+    records.write_text("\n".join(lines) + "\n")
+    return [table, records]
+
+
+def emit(report: KPIReport, out_dir, provenance=None) -> list:
+    """Write the KPI table as ``kpis.csv`` and ``kpis.jsonl``.
+
+    The report's scenario, phase and flags join the provenance.
+    """
     prov = dict(provenance or {})
     prov.setdefault("scenario", report.scenario)
     prov.setdefault("phase", report.phase)
     if report.flags:
         prov["flags"] = ";".join(report.flags)
-    written = []
-    for fmt in formats:
-        if fmt == "csv":
-            p = out / "kpis.csv"
-            _write_table(p, COLUMNS, report.rows, prov)
-        elif fmt == "jsonl":
-            p = out / "kpis.jsonl"
-            _write_records(p, report.rows, prov)
-        else:
-            raise ReportError(f"unknown format {fmt!r}")
-        written.append(p)
-    if history is not None:
-        for fmt in formats:
-            if fmt == "csv":
-                p = out / "history.csv"
-                _write_table(p, HISTORY_COLUMNS, history, prov)
-            else:
-                p = out / "history.jsonl"
-                _write_records(p, history, prov)
-            written.append(p)
-    return written
+    return write_rows(out_dir, "kpis", COLUMNS, report.rows, prov)
 
 
 def read_events(path) -> list:

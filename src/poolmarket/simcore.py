@@ -77,7 +77,6 @@ class SimulationConfig:
     master_seed: int = 0
     reoptimize_enabled: bool = True
     reposition_enabled: bool = True
-    per_vehicle_cap: int | None = None
 
 
 @dataclass
@@ -363,7 +362,7 @@ class _Engine:
                 pending += 1
             if boundary and cfg.reoptimize_enabled:
                 for op in self.operators:
-                    summary = reoptimize(op, t, cfg.per_vehicle_cap)
+                    summary = reoptimize(op, t)
                     self.log("reopt", t, operator=op.op_id,
                              fleet_distance_m=op.fleet_distance_m(), **summary)
             prev = t
@@ -387,8 +386,6 @@ class _Engine:
             st["n_no_offer"] = op.n_no_offer
             st["n_completed"] = len(op.completed_ids)
             st["fleet_distance_m"] = op.fleet_distance_m()
-            st["n_open_scheduled"] = len(op.scheduled_ids)
-            st["n_onboard_at_end"] = len(op.onboard_ids())
             self.log("final", cfg.horizon_s, operator=op.op_id,
                      fleet_distance_m=st["fleet_distance_m"],
                      n_no_offer=st["n_no_offer"],

@@ -356,19 +356,6 @@ def test_identical_inputs_identical_outputs():
     assert runs[0] == runs[1]
 
 
-def test_per_vehicle_cap_truncates_by_grade(line10):
-    veh = Vehicle(0, 0)
-    requests = {rid: req(rid, 0.0, rid, rid + 2, line10) for rid in (1, 2, 3)}
-    _, full = production_table(line10, [veh], requests, 0.0)
-    _, capped = production_table(line10, [veh], requests, 0.0, per_vehicle_cap=3)
-    assert len(full) > 3
-    assert len(capped) == 3
-    full_keys = {z.key() for z in full}
-    assert all(z.key() in full_keys for z in capped)
-    assert max(z.grade for z in capped) <= min(
-        z.grade for z in full if z.key() not in {c.key() for c in capped})
-
-
 def test_problem_text_round_trip():
     net, vehicles, requests, now = random_instance(13)
     _, opts = production_table(net, vehicles, requests, now)

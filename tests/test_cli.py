@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poolmarket.cli import main
-from poolmarket.config import ConfigError, build_simulation, load_file
+from poolmarket.config import _SECTIONS, ConfigError, build_simulation, load_file
+from poolmarket.simcore import SimulationConfig
 
 
 def line_config(extra: str = "", n: int = 6, demand: str | None = None) -> str:
@@ -60,6 +63,16 @@ def test_validate_names_bad_key_and_line(tmp_path, capsys):
     assert re.search(r":\d+: horizzon_s", err)
 
 
+def test_readme_top_level_keys_are_the_ones_the_builder_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("\nTop level:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(\w+)`", paragraph))
+    # the demand section builds these two fields
+    from_demand = {"trips", "demand_rate_per_hour"}
+    fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+    assert documented == _SECTIONS | (fields - from_demand)
+
+
 def _one_line_error(err, path, keypath):
     """Line number of a single `file:line: keypath: problem` message."""
     m = re.fullmatch(rf"error: {re.escape(str(path))}:(\d+): "
@@ -78,7 +91,8 @@ def _one_line_error(err, path, keypath):
                          "    assignment_reward_eur: lots\n"), "lots"),
     ("operators[0].start_nodes[0]",
      lambda t: t.replace("start_nodes: [0]", "start_nodes: [depot]"), "depot"),
-    ("per_vehicle_cap", lambda t: t + "per_vehicle_cap: many\n", "many"),
+    ("master_seed", lambda t: t.replace("master_seed: 3", "master_seed: many"),
+     "many"),
     ("demand.rate_per_hour",
      lambda t: t.split("demand:")[0] + "demand:\n  rate_per_hour: busy\n",
      "busy"),
@@ -175,6 +189,11 @@ _BAD_GAME_OR_CALIBRATION = [
      "  objective_options:\n    - [0.25, 16.2]\n", "99"),
     ("game", "game.initial_params[0].colour",
      "game:\n  initial_params:\n    - {fleet_size: 1, colour: red}\n", "red"),
+    ("game", "game.initial_params",
+     "game:\n  turn_limit: 1\n  initial_params:\n    - {fleet_size: 1}\n"
+     "    - {fleet_size: 1}\n", "initial_params"),
+    ("game", "game.initial_params[0].fleet_size",
+     "game:\n  initial_params:\n    - {fleet_size: 0}\n", "fleet_size: 0"),
     ("calibrate", "calibration.target_service_rate",
      "calibration:\n  fleet_sizes: [1, 2]\n  target_service_rate: 1.5\n",
      "1.5"),
@@ -334,12 +353,14 @@ def test_scenario_override_hits_runtime_validation(cfg_path, tmp_path,
     (["gen-demand", "--rate", "60", "--horizon", "-100"], "--horizon"),
     (["gen-demand", "--rate", "0", "--horizon", "600"], "--rate"),
     (["gen-demand", "--rate", "inf", "--horizon", "600"], "--rate"),
+    (["calibrate", "--target", "1.5"], "--target"),
 ])
-def test_bad_overrides_exit_two_naming_the_flag(cfg_path, tmp_path, capsys,
-                                                argv, flag):
+def test_bad_overrides_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
+    p = tmp_path / "toy.yaml"
+    p.write_text(line_config(extra="calibration:\n  fleet_sizes: [1, 2]\n"))
     out = tmp_path / "out"
     cmd, *flags = argv
-    assert main([cmd, str(cfg_path), "--out", str(out), *flags]) == 2
+    assert main([cmd, str(p), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {flag}: "), err
     assert "\n" not in err

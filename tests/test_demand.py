@@ -81,7 +81,7 @@ def test_trip_file_round_trip(tmp_path, line10):
     write_trip_rows(trips, p)
     back = read_trip_rows(p)
     assert back == trips
-    reqs = ingest_requests(p, line10, subsample_rate=1.0, seed=0)
+    reqs = ingest_requests(back, line10, subsample_rate=1.0, seed=0)
     assert len(reqs) == len(trips)
 
 

@@ -14,7 +14,6 @@ from poolmarket.network import (
     NetworkLoadError,
     NoPathError,
     TravelTimeProfile,
-    load_network,
 )
 
 from conftest import (
@@ -25,45 +24,9 @@ from conftest import (
 )
 
 
-def write_net_files(tmp_path, nodes, edges, zones=None, profile=None, header=True):
-    nodes_p = tmp_path / "nodes.csv"
-    lines = ["node_id,x,y"] if header else []
-    lines += [f"{n},{x},{y}" for n, (x, y) in nodes.items()]
-    nodes_p.write_text("\n".join(lines) + "\n")
-    edges_p = tmp_path / "edges.csv"
-    lines = ["from_node,to_node,length_m,travel_time_s"] if header else []
-    lines += [f"{u},{v},{ln},{tt}" for u, v, ln, tt in edges]
-    edges_p.write_text("\n".join(lines) + "\n")
-    zones_p = None
-    if zones is not None:
-        zones_p = tmp_path / "zones.csv"
-        zones_p.write_text("node_id,zone_id\n" + "\n".join(f"{n},{z}" for n, z in zones.items()) + "\n")
-    profile_p = None
-    if profile is not None:
-        profile_p = tmp_path / "profile.csv"
-        profile_p.write_text(
-            "interval_start_s,scale_factor\n"
-            + "\n".join(f"{s},{f}" for s, f in profile)
-            + "\n"
-        )
-    return nodes_p, edges_p, zones_p, profile_p
-
-
-def line_files(tmp_path, n=10, spacing=500.0, tt=50.0, profile=None):
-    nodes = {i: (i * spacing, 0.0) for i in range(n)}
-    edges = []
-    for i in range(n - 1):
-        edges.append((i, i + 1, spacing, tt))
-        edges.append((i + 1, i, spacing, tt))
-    return write_net_files(tmp_path, nodes, edges, profile=profile)
-
-
-def test_line_network_distance_and_scaling(tmp_path):
+def test_line_network_distance_and_scaling():
     # 10-node line, 500 m edges: distance 0->9 is 9 edges
-    nodes_p, edges_p, _, profile_p = line_files(
-        tmp_path, profile=[(0, 1.0), (900, 2.0)]
-    )
-    net = load_network(nodes_p, edges_p, profile_path=profile_p)
+    net = make_line_network(10, profile=TravelTimeProfile((1.0, 2.0), 900.0))
     res = net.shortest_path(0, 9, 0.0)
     assert res.distance_m == pytest.approx(9 * 500.0)
     assert res.travel_time_s == pytest.approx(9 * 50.0)
@@ -75,30 +38,34 @@ def test_line_network_distance_and_scaling(tmp_path):
     assert res2.nodes == res.nodes
 
 
-def test_loader_rejects_unknown_node(tmp_path):
+def test_loader_rejects_unknown_node():
     nodes = {0: (0.0, 0.0), 1: (1.0, 0.0)}
     edges = [(0, 1, 100.0, 10.0), (1, 0, 100.0, 10.0), (0, 99, 100.0, 10.0)]
-    nodes_p, edges_p, _, _ = write_net_files(tmp_path, nodes, edges)
-    with pytest.raises(NetworkLoadError) as err:
-        load_network(nodes_p, edges_p)
-    assert "99" in str(err.value)
-    assert "row 4" in str(err.value)
+    with pytest.raises(NetworkLoadError, match=r"edge \(0,99\) references unknown node"):
+        Network(nodes, edges)
 
 
-def test_loader_rejects_nonpositive_edge(tmp_path):
+def test_loader_rejects_nonpositive_edge():
     nodes = {0: (0.0, 0.0), 1: (1.0, 0.0)}
     edges = [(0, 1, 100.0, 0.0), (1, 0, 100.0, 10.0)]
-    nodes_p, edges_p, _, _ = write_net_files(tmp_path, nodes, edges)
-    with pytest.raises(NetworkLoadError) as err:
-        load_network(nodes_p, edges_p)
-    assert "row 2" in str(err.value)
+    with pytest.raises(NetworkLoadError, match=r"edge \(0,1\) must have positive"):
+        Network(nodes, edges)
 
 
-def test_disconnected_network_rejected():
-    nodes = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}
-    edges = [(0, 1, 100.0, 10.0), (1, 0, 100.0, 10.0), (1, 2, 100.0, 10.0)]
-    with pytest.raises(NetworkLoadError):
-        Network(nodes, edges)  # node 2 cannot reach back
+@pytest.mark.parametrize("edges, message", [
+    # nothing leads from nodes 0 and 1 to nodes 2 or 3
+    ([(0, 1, 100.0, 10.0), (1, 0, 100.0, 10.0), (3, 1, 100.0, 10.0),
+      (2, 0, 100.0, 10.0)],
+     "node 2 not reachable from node 0"),
+    # nodes 2 and 3 cannot reach back
+    ([(0, 1, 100.0, 10.0), (1, 0, 100.0, 10.0), (1, 3, 100.0, 10.0),
+      (1, 2, 100.0, 10.0)],
+     "node 2 not reachable to node 0"),
+], ids=["from", "to"])
+def test_disconnected_network_rejected(edges, message):
+    nodes = {n: (float(n), 0.0) for edge in edges for n in edge[:2]}
+    with pytest.raises(NetworkLoadError, match=message):
+        Network(nodes, edges)
 
 
 def test_paths_optimal_against_enumeration():
@@ -212,15 +179,6 @@ def test_zone_centroids_deterministic():
     assert net.zone_centroid(0) == 2
     assert net.zone_centroid(1) == 7
     assert net.zone_ids == (0, 1)
-
-
-def test_profile_file_validation(tmp_path):
-    nodes_p, edges_p, _, profile_p = line_files(
-        tmp_path, n=3, profile=[(0, 1.0), (900, 1.2), (2000, 1.0)]
-    )
-    with pytest.raises(NetworkLoadError) as err:
-        load_network(nodes_p, edges_p, profile_path=profile_p)
-    assert "contiguous" in str(err.value)
 
 
 def test_diameter_distance_line():

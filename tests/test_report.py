@@ -7,10 +7,12 @@ import pytest
 from poolmarket.demand import RawTrip
 from poolmarket.report import (
     COLUMNS,
+    HISTORY_COLUMNS,
     compute_kpis,
     compute_rsd,
     emit,
     replay_kpis,
+    write_rows,
 )
 from poolmarket.simcore import OperatorConfig, SimulationConfig, run
 
@@ -128,8 +130,11 @@ def test_emission_is_byte_stable(tmp_path):
     prov = {"master_seed": res.master_seed, "fingerprint": res.fingerprint}
     a = tmp_path / "a"
     b = tmp_path / "b"
-    paths_a = emit(report, a, history=history, provenance=prov)
-    paths_b = emit(report, b, history=history, provenance=prov)
+
+    def write(out):
+        return (emit(report, out, provenance=prov)
+                + write_rows(out, "history", HISTORY_COLUMNS, history, prov))
+    paths_a, paths_b = write(a), write(b)
     assert [p.name for p in paths_a] == [p.name for p in paths_b]
     for pa, pb in zip(paths_a, paths_b):
         assert pa.read_bytes() == pb.read_bytes()
