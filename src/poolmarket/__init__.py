@@ -46,9 +46,7 @@ from .assign import (
     InfeasibleAssignmentError,
     V2RB,
     build_problem,
-    dump_problem,
     enumerate_v2rbs,
-    load_problem,
     reoptimize,
     solve_ilp,
 )
@@ -95,8 +93,7 @@ __all__ = [
     "StopSpec", "Vehicle", "default_assignment_reward",
     "plan_stop_sequence", "schedule_cost",
     "AssignmentProblem", "AssignmentSolution", "InfeasibleAssignmentError",
-    "V2RB", "build_problem", "dump_problem", "enumerate_v2rbs",
-    "load_problem", "reoptimize", "solve_ilp",
+    "V2RB", "build_problem", "enumerate_v2rbs", "reoptimize", "solve_ilp",
     "SCENARIOS", "DispatchError", "decide", "dispatch_request",
     "EconParams", "ProfitBreakdown", "compute_effective_profit",
     "compute_profit",

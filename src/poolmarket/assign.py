@@ -15,7 +15,6 @@ tests; it shares only the network query layer with the production path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -50,18 +49,16 @@ class V2RB:
     """One assignable option: a vehicle together with a request bundle.
 
     The bundle always includes the customers already on the vehicle.
-    ``grade`` counts the waiting (not yet picked up) requests in the
-    bundle.  ``grandfathered`` marks an option carried over from the
-    current plan even though it no longer passes every check, which can
-    happen after travel times change; such schedules keep their booking
-    but are not re-validated on apply.
+    ``grandfathered`` marks an option carried over from the current plan
+    even though it no longer passes every check, which can happen after
+    travel times change; such schedules keep their booking but are not
+    re-validated on apply.
     """
 
     vehicle_id: int
     bundle: frozenset
     cost: float
     schedule: Schedule | None
-    grade: int
     grandfathered: bool = False
 
     def key(self):
@@ -205,14 +202,15 @@ def _restricted_specs(specs, keep_ids):
 
 def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
                     constraints: Constraints, objective: ObjectiveParams,
-                    now: float, pickup_times, incumbent_specs=None) -> list:
+                    now: float, pickup_times, incumbents=None) -> list:
     """All servable (vehicle, bundle) options with their best schedules.
 
     candidate_ids are the waiting requests open for reassignment; each
     vehicle's onboard customers are part of every one of its bundles.
-    Vehicles listed in incumbent_specs additionally keep their current
-    plan as an option even when it fails re-validation, so an assignment
-    at least as good as the current one always exists.
+    incumbents maps a vehicle id to its current plan, timed without
+    enforcing the rules; that plan stays an option even when it fails
+    re-validation, so an assignment at least as good as the current one
+    always exists.
     """
     min_fac = network.min_factor()
     out = []
@@ -256,20 +254,17 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
             present_prev = present_now
             level += 1
 
-        inc = (incumbent_specs or {}).get(veh.vehicle_id)
-        if inc:
+        inc_sched = (incumbents or {}).get(veh.vehicle_id)
+        if inc_sched is not None:
             # current plan survives even if stale; cheaper searched
             # orders for the same bundle win the tie
-            inc_sched, _ = plan_stop_sequence(
-                network, veh, inc, now, requests, pickup_times, constraints,
-                enforce=False)
             inc_cost = schedule_cost(inc_sched, objective, requests)
             inc_add = frozenset(inc_sched.bundle) - base
             cur = found.get(inc_add)
             if cur is None or cur[0] > inc_cost:
                 found[inc_add] = (inc_cost, inc_sched, True)
             if base and frozenset() not in found:
-                only_base = _restricted_specs(inc, base)
+                only_base = _restricted_specs(inc_sched.stops, base)
                 fb_sched, _ = plan_stop_sequence(
                     network, veh, only_base, now, requests, pickup_times,
                     constraints, enforce=False)
@@ -283,7 +278,7 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
             cost, sched, grand = found[add]
             entries.append(V2RB(
                 vehicle_id=veh.vehicle_id, bundle=base | add, cost=cost,
-                schedule=sched, grade=len(add), grandfathered=grand))
+                schedule=sched, grandfathered=grand))
         out.extend(sorted(entries, key=lambda z: z.key()))
     return out
 
@@ -463,16 +458,16 @@ def reoptimize(operator, now: float) -> dict:
     assigned = sorted(operator.active_ids())
     candidates = sorted(operator.scheduled_ids)
 
-    incumbent_specs = {}
+    incumbents = {}
     incumbent_keys = []
     incumbent_total = 0.0
     for veh in vehicles:
         if not veh.stops:
             continue
-        incumbent_specs[veh.vehicle_id] = veh.stops
         sched, _ = plan_stop_sequence(
             net, veh, veh.stops, now, operator.requests, operator.pickup_times,
             operator.constraints, enforce=False)
+        incumbents[veh.vehicle_id] = sched
         incumbent_total += schedule_cost(sched, operator.objective,
                                          operator.requests)
         incumbent_keys.append((veh.vehicle_id, tuple(sorted(sched.bundle))))
@@ -480,7 +475,7 @@ def reoptimize(operator, now: float) -> dict:
     options = enumerate_v2rbs(
         net, vehicles, operator.requests, candidates, operator.constraints,
         operator.objective, now, operator.pickup_times,
-        incumbent_specs=incumbent_specs)
+        incumbents=incumbents)
     problem = build_problem(options, assigned_ids=assigned, optional_ids=(),
                             vehicle_ids=[v.vehicle_id for v in vehicles])
     solution = solve_ilp(problem, initial_keys=incumbent_keys or None)
@@ -646,33 +641,3 @@ def oracle_assignment(table, vehicle_ids, assigned_ids, optional_ids=()):
     if best[0] is None:
         return None
     return best[0], best[1]
-
-
-# -- plain-text round trip ------------------------------------------------
-
-
-def dump_problem(problem: AssignmentProblem) -> str:
-    """Serialize an instance (costs only; schedules are not portable)."""
-    data = {
-        "assigned": list(problem.assigned_ids),
-        "optional": list(problem.optional_ids),
-        "vehicles": list(problem.vehicle_ids),
-        "options": [
-            {"vehicle": z.vehicle_id, "bundle": sorted(z.bundle),
-             "cost": z.cost, "grade": z.grade}
-            for z in problem.v2rbs
-        ],
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
-
-
-def load_problem(text: str) -> AssignmentProblem:
-    data = json.loads(text)
-    options = [
-        V2RB(vehicle_id=int(o["vehicle"]), bundle=frozenset(o["bundle"]),
-             cost=float(o["cost"]), schedule=None,
-             grade=int(o.get("grade", len(o["bundle"]))))
-        for o in data["options"]
-    ]
-    return build_problem(options, data["assigned"], data["optional"],
-                         data["vehicles"])

@@ -165,7 +165,7 @@ def cmd_calibrate(args) -> int:
     if args.target is not None:
         try:
             _validate_calibration(cal["fleet_sizes"], args.target,
-                                  cal["p_no_step_eur"], cal["p_no_max_eur"])
+                                  cal["p_no_step_eur"])
         except CalibrationError as exc:
             raise ConfigError(f"--target: {exc.problem}") from None
         cal["target_service_rate"] = args.target
@@ -175,7 +175,6 @@ def cmd_calibrate(args) -> int:
     try:
         res = calibrate(cal["base"], cal["fleet_sizes"], target,
                         p_no_step_eur=cal["p_no_step_eur"],
-                        p_no_max_eur=cal["p_no_max_eur"],
                         jobs=args.jobs or 1)
     except CalibrationError as exc:
         files = _emit_sweep(out, exc.records, prov)

@@ -24,6 +24,9 @@ from .operators import Constraints
 from .simcore import (OperatorConfig, SimulationConfig, SimulationError,
                       _validate)
 
+# a calibration runs one full simulation per swept fleet size
+_MAX_SWEPT_SIZES = 10_000
+
 # top-level keys that have builders of their own
 _SECTIONS = {"network", "network_file", "demand", "operators", "constraints",
              "econ", "game", "calibration"}
@@ -172,7 +175,7 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
                     "network", src)
     raw_nodes = _need(spec, "nodes", "network", src)
     if isinstance(raw_nodes, bool):
-        src.fail("network.nodes", "expected count, mapping or list")
+        src.fail("network.nodes", "expected count or mapping")
     if isinstance(raw_nodes, int):
         # count shorthand: ids 0..n-1 laid out on a line
         nodes = {i: (float(i), 0.0) for i in range(raw_nodes)}
@@ -180,16 +183,8 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
         nodes = {_cast(k, int, "network.nodes", src):
                  tuple(_cast_list(v, float, f"network.nodes.{k}", src))
                  for k, v in raw_nodes.items()}
-    elif isinstance(raw_nodes, list):
-        nodes = {}
-        for i, row in enumerate(raw_nodes):
-            where = f"network.nodes[{i}]"
-            if not isinstance(row, list) or len(row) != 3:
-                src.fail(where, "expected [id, x, y]")
-            nodes[_cast(row[0], int, where, src)] = tuple(
-                _cast_list(row[1:], float, where, src))
     else:
-        src.fail("network.nodes", "expected count, mapping or list")
+        src.fail("network.nodes", "expected count or mapping")
     edges = _need(spec, "edges", "network", src)
     if not isinstance(edges, list):
         src.fail("network.edges", "expected a list of [u, v, meters, seconds]")
@@ -322,20 +317,23 @@ def build_calibration(doc: dict, src: _Source, base_dir) -> dict:
     spec = doc.get("calibration")
     if not isinstance(spec, dict):
         src.fail("calibration", "missing or not a mapping")
-    defaults = {"target_service_rate": 0.9, "p_no_step_eur": 0.01,
-                "p_no_max_eur": 5.0}
+    defaults = {"target_service_rate": 0.9, "p_no_step_eur": 0.01}
     _reject_unknown(spec, {"fleet_sizes", *defaults}, "calibration", src)
     sizes = _need(spec, "fleet_sizes", "calibration", src)
     if isinstance(sizes, dict):
         _reject_unknown(sizes, {"start", "stop", "step"},
                         "calibration.fleet_sizes", src)
         where = "calibration.fleet_sizes"
+        start = _opt(sizes, "start", int, 1, where, src)
         stop = _cast(_need(sizes, "stop", where, src), int, f"{where}.stop", src)
         step = _opt(sizes, "step", int, 1, where, src)
         if step < 1:
             src.fail(f"{where}.step", "must be at least 1")
-        sizes = list(range(_opt(sizes, "start", int, 1, where, src), stop + 1,
-                           step))
+        count = max(0, (stop - start) // step + 1)
+        if count > _MAX_SWEPT_SIZES:
+            src.fail(where, f"{count} sizes, more than {_MAX_SWEPT_SIZES}; "
+                            "each one is a full simulation")
+        sizes = list(range(start, stop + 1, step))
     elif not isinstance(sizes, list):
         src.fail("calibration.fleet_sizes",
                  "expected a list or {start, stop, step}")

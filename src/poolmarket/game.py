@@ -289,7 +289,7 @@ def _sweep_configs(base: SimulationConfig, fleet_sizes) -> list:
 
 
 def _validate_calibration(fleet_sizes, target_service_rate: float,
-                          p_no_step_eur: float, p_no_max_eur: float):
+                          p_no_step_eur: float):
     """The rules of a calibration's settings; raises CalibrationError."""
     if not fleet_sizes or min(fleet_sizes) < 1:
         raise CalibrationError(
@@ -298,18 +298,38 @@ def _validate_calibration(fleet_sizes, target_service_rate: float,
     if not 0.0 < target_service_rate <= 1.0:
         raise CalibrationError(f"must be in (0, 1], got {target_service_rate}",
                                keypath="calibration.target_service_rate")
-    # the penalty grid has p_no_max_eur / p_no_step_eur steps
     if not 0.0 < p_no_step_eur < math.inf:
         raise CalibrationError(f"must be positive and finite, got {p_no_step_eur}",
                                keypath="calibration.p_no_step_eur")
-    if not 0.0 <= p_no_max_eur < math.inf:
-        raise CalibrationError(f"must be >= 0 and finite, got {p_no_max_eur}",
-                               keypath="calibration.p_no_max_eur")
+
+
+def _refusal_penalty(records, target, step: float):
+    """Smallest multiple of step at which effective profit first peaks at
+    the target record, or None when no multiple does.
+
+    Effective profit is linear in the penalty, so the target wins on an
+    interval that starts at the highest crossing of its profit line with
+    those of records that refuse more.  The steps around that crossing
+    are checked exactly, which settles float rounding.
+    """
+    def peak_at(p_no):
+        # max keeps the first of equal values, the smaller fleet
+        return target is max(
+            records, key=lambda r: r["profit_eur"] - r["n_no_offer"] * p_no)
+
+    n_t, v_t = target["n_no_offer"], target["profit_eur"]
+    lowest = max([0.0] + [(r["profit_eur"] - v_t) / (r["n_no_offer"] - n_t)
+                          for r in records if r["n_no_offer"] > n_t])
+    k = lowest / step
+    if not math.isfinite(k):
+        return None
+    k = math.ceil(k)
+    return next((j * step for j in range(max(0, k - 1), k + 2)
+                 if peak_at(j * step)), None)
 
 
 def calibrate(base: SimulationConfig, fleet_sizes, target_service_rate: float,
-              p_no_step_eur: float = 0.01, p_no_max_eur: float = 5.0,
-              jobs: int = 1) -> dict:
+              p_no_step_eur: float = 0.01, jobs: int = 1) -> dict:
     """Pick the smallest adequate fleet, its break-even fare, and the
     smallest refusal penalty that makes effective profit peak there.
 
@@ -317,8 +337,7 @@ def calibrate(base: SimulationConfig, fleet_sizes, target_service_rate: float,
     cost, service and refusal counts are aggregated over operators.
     """
     sizes = sorted(set(int(n) for n in fleet_sizes))
-    _validate_calibration(sizes, target_service_rate, p_no_step_eur,
-                          p_no_max_eur)
+    _validate_calibration(sizes, target_service_rate, p_no_step_eur)
     econ = base.econ
     results = _run_cells(_sweep_configs(base, sizes), jobs)
     records = []
@@ -359,22 +378,7 @@ def calibrate(base: SimulationConfig, fleet_sizes, target_service_rate: float,
         rec["revenue_eur"] = fare * rec["served_direct_distance_m"] / 1000.0
         rec["profit_eur"] = rec["revenue_eur"] - rec["cost_eur"]
     n_star = target["fleet_size"]
-
-    def peak_at(p_no: float) -> bool:
-        best_n, best_v = None, None
-        for rec in records:
-            v = rec["profit_eur"] - rec["n_no_offer"] * p_no
-            if best_v is None or v > best_v:
-                best_n, best_v = rec["fleet_size"], v
-        return best_n == n_star
-
-    p_star = None
-    steps = int(round(p_no_max_eur / p_no_step_eur))
-    for k in range(steps + 1):
-        p = k * p_no_step_eur
-        if peak_at(p):
-            p_star = p
-            break
+    p_star = _refusal_penalty(records, target, p_no_step_eur)
     if p_star is None:
         raise CalibrationError(
             "no penalty on the grid puts the effective-profit peak at "

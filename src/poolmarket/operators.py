@@ -247,9 +247,10 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
 
     This is the one place where the service rules are checked.  Returns
     (schedule, None) when feasible, else (None, first_violation).  With
-    enforce=False the schedule is always returned (used when re-timing
-    after a travel-time change; promises are checked at booking time
-    only).
+    enforce=False the schedule is always returned with its first
+    violation, if any; offers and reopt cost a vehicle's current plan
+    that way, since its promises were checked when it was booked or
+    chosen and may have gone stale since.
 
     :param specs: stops with node, board and alight, such as StopSpec or
         a vehicle's own Stop list; arrival times are ignored
@@ -435,22 +436,6 @@ class Operator:
         vehicle.leg = None
         if vehicle.stops:
             vehicle.reposition_target = None
-
-    def retime_schedules(self, now: float):
-        """Recompute planned times after a travel-time factor change.
-
-        Existing bookings are kept even if a promise can no longer be
-        met; times are estimates, not new commitments.
-        """
-        for veh in self.vehicles:
-            if not veh.stops:
-                continue
-            sched, _ = plan_stop_sequence(
-                self.network, veh, veh.stops, now, self.requests,
-                self.pickup_times, self.constraints, enforce=False)
-            veh.stops = list(sched.stops)
-            veh.leg = None
-        self.state_version += 1
 
     # -- rebalancing -----------------------------------------------------
 

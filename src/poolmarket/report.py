@@ -32,12 +32,6 @@ class KPIReport:
     rows: list
     flags: list = field(default_factory=list)
 
-    def row(self, operator):
-        for r in self.rows:
-            if r["operator"] == operator:
-                return r
-        raise KeyError(operator)
-
 
 def _rsd(served_direct_m: float, fleet_m: float):
     """(saved distance) / (sold distance); 0 when nothing was sold."""

@@ -3,11 +3,13 @@
 The clock advances in fixed steps.  Between two step times vehicles move
 along their planned legs (edge by edge, splitting travel-time factor
 boundaries exactly); at each step time the engine then runs, in order:
-re-timing of planned stops when the travel-time factor changed,
 rebalancing of idle vehicles at period boundaries, dispatch of every
 request whose time has come, and fleet-wide re-optimization at period
 boundaries.  Requests are answered immediately: quoted, booked or
-refused at their step.
+refused at their step.  Planned stop times are set when a plan is
+booked or chosen by re-optimization; nothing re-times them when the
+travel-time factor changes, since offers and re-optimization time
+every plan again from the vehicle's state.
 
 Everything that happens is appended to an event list; the fingerprint
 over that list is the determinism contract used by the tests.
@@ -339,7 +341,6 @@ class _Engine:
     def run(self) -> SimulationResult:
         cfg = self.config
         self.build()
-        profile = self.network.profile
         interval = cfg.reposition_interval_s
         steps = []
         k = 1
@@ -350,9 +351,6 @@ class _Engine:
         prev = 0.0
         for t in steps:
             self._advance_window(prev, t)
-            if profile.factor_at(prev) != profile.factor_at(t):
-                for op in self.operators:
-                    op.retime_schedules(t)
             boundary = abs(t / interval - round(t / interval)) < 1e-9
             if boundary and cfg.reposition_enabled:
                 for op in self.operators:

@@ -207,8 +207,9 @@ _BAD_GAME_OR_CALIBRATION = [
     ("calibrate", "calibration.p_no_step_eur",
      "calibration:\n  fleet_sizes: [1, 2]\n  p_no_step_eur: -0.01\n",
      "-0.01"),
-    ("calibrate", "calibration.p_no_max_eur",
-     "calibration:\n  fleet_sizes: [1, 2]\n  p_no_max_eur: .inf\n", ".inf"),
+    ("calibrate", "calibration.fleet_sizes",
+     "calibration:\n  fleet_sizes: {start: 1, stop: 1000000000}\n",
+     "1000000000"),
 ]
 
 
@@ -256,8 +257,7 @@ _TOY = yaml.safe_load(line_config(extra=(
     "calibration:\n"
     "  fleet_sizes: [1, 2]\n"
     "  target_service_rate: 0.5\n"
-    "  p_no_step_eur: 0.05\n"
-    "  p_no_max_eur: 2.0\n")).replace(
+    "  p_no_step_eur: 0.05\n")).replace(
         "  edges:\n", "  profile: {factors: [1.0, 1.3], interval_s: 600}\n"
                       "  edges:\n"))
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poolmarket.demand import RawTrip
 from poolmarket.game import (
@@ -16,6 +17,7 @@ from poolmarket.game import (
     play_turn,
     run_game,
     _fleet_axis,
+    _refusal_penalty,
 )
 from poolmarket.simcore import OperatorConfig, SimulationConfig
 
@@ -206,6 +208,40 @@ def test_calibration_unreachable_target():
                     horizon_s=1200.0)
     with pytest.raises(CalibrationError):
         calibrate(base, [1], 0.999)
+
+
+# (profit in cents, refusals) per swept size; many zero and equal profits
+_RECORD_ROWS = st.lists(
+    st.tuples(st.one_of(st.just(0), st.integers(-1000, 1000)),
+              st.integers(0, 20)),
+    min_size=1, max_size=6)
+
+
+def grid_scan(records, target, step, steps):
+    """The penalty search as a scan of the first `steps` multiples of step."""
+    for k in range(steps):
+        p = k * step
+        best, best_v = None, None
+        for rec in records:
+            v = rec["profit_eur"] - rec["n_no_offer"] * p
+            if best_v is None or v > best_v:
+                best, best_v = rec, v
+        if best is target:
+            return p
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(rows=_RECORD_ROWS, pick=st.integers(0, 5),
+       step=st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.25, 1.0]))
+def test_refusal_penalty_equals_the_grid_scan(rows, pick, step):
+    records = [{"fleet_size": n, "profit_eur": cents / 100, "n_no_offer": n_no}
+               for n, (cents, n_no) in enumerate(rows, start=1)]
+    target = records[pick % len(records)]
+    # profits lie within 20 EUR of each other, so every crossing of two
+    # profit lines lies below 20 EUR and the scan can stop there
+    assert (_refusal_penalty(records, target, step)
+            == grid_scan(records, target, step, int(20 / step) + 3))
 
 
 def test_play_turn_roles_alternate():

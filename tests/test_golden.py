@@ -19,12 +19,15 @@ GOLDEN = {
     "single": "3940a81417a372ad304bf4bda5465b9ad6d4eee90cb412092a9251efba6ad54d",
     "user_decision": "5d362ba9fb51fa5bb311f56cfb5f8f53cb12a244ba6e39ecdf691bd35b89cebe",
     "broker_decision": "11c8b449792e262838c655040728288ccb1ae2aa4fcda6f28579a2f811bd795b",
+    "independent": "35a5d06cfd0e225a48c41fbd36e1cd74e12b6d3d892c53fa54a94ed41f404ff0",
 }
+# runs under a travel-time factor change at 600 s, mid-route for some rides
+PROFILED = {"user_decision", "independent"}
 
 
 def golden_config(scenario):
     profile = (TravelTimeProfile((1.0, 1.3), 600.0)
-               if scenario == "user_decision" else None)
+               if scenario in PROFILED else None)
     fleets = [4] if scenario == "single" else [2, 2]
     return SimulationConfig(
         network=make_grid_network(5, 6, zone_split=True, profile=profile),

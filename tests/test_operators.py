@@ -482,25 +482,6 @@ def test_second_rider_pooled_marginal_cost(line10):
     assert o2.extra_distance_m == pytest.approx(500.0)
 
 
-# -- retiming ------------------------------------------------------------
-
-
-def test_retime_scales_planned_times():
-    net = make_line_network(10, profile=TravelTimeProfile((1.0, 2.0), 900.0))
-    op = make_operator(net, [0])
-    r = req(1, 0.0, 2, 6, net)
-    offer = op.insertion_offer(r, 0.0)
-    op.book(offer, r, 0.0)
-    t_before = [s.arrival_s for s in op.vehicles[0].stops]
-    op.retime_schedules(900.0)  # factor 2 now active
-    t_after = [s.arrival_s for s in op.vehicles[0].stops]
-    assert t_after[0] == pytest.approx(900.0 + 2 * 100.0)
-    assert t_after[1] == pytest.approx(900.0 + 2 * 300.0)
-    assert t_before[0] == pytest.approx(100.0)
-    # booking is kept even though the wait promise is now stale
-    assert 1 in op.scheduled_ids
-
-
 # -- rebalancing ---------------------------------------------------------
 
 

@@ -59,7 +59,7 @@ def test_rsd_no_service_flagged_zero():
     assert compute_rsd(res, 0) == 0.0
     report = compute_kpis(res)
     assert any("rsd-degenerate" in f for f in report.flags)
-    row = report.row(0)
+    row, = (r for r in report.rows if r["operator"] == 0)
     assert row["served_frac"] == 0.0
     assert row["profit_eur"] < 0.0  # fixed fleet cost still accrues
 
@@ -90,9 +90,9 @@ def test_kpi_rows_structure_and_bounds():
         assert row["rsd"] <= 1.0
         assert row["mean_rel_detour"] <= 0.4 + 1e-9
         assert row["mean_rel_detour"] >= -1e-9
-    total = report.row("all")
+    first, second, total = report.rows
     assert total["served_frac"] == pytest.approx(
-        report.row(0)["served_frac"] + report.row(1)["served_frac"])
+        first["served_frac"] + second["served_frac"])
     assert res.n_served == total["served_frac"] * res.n_requests
 
 
@@ -116,7 +116,8 @@ def test_replay_counts_expired_in_aggregate_refusals():
     report = compute_kpis(res)
     replay = replay_kpis(res.events, res.scenario, res.fleet_sizes,
                          res.horizon_s, res.econ)
-    assert report.row("all")["n_no_offer"] == 1
+    assert report.rows[-1]["operator"] == "all"
+    assert report.rows[-1]["n_no_offer"] == 1
     assert replay.rows == report.rows
 
 
