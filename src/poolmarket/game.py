@@ -237,6 +237,11 @@ def _validate_game(config: GameConfig):
             raise GameError("game.initial_params"
                             + exc.keypath.removeprefix("operators"),
                             exc.problem) from None
+    for j, pair in enumerate(config.objective_options):
+        for k, value in enumerate(pair):
+            if not 0.0 <= value < math.inf:
+                raise GameError(f"game.objective_options[{j}][{k}]",
+                                f"must be >= 0 and finite, got {value}")
 
 
 def run_game(config: GameConfig) -> GameState:

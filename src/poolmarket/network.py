@@ -8,20 +8,20 @@ computed once on base times and scaled per query: one shortest-path
 tree per origin gives the base time, the distance and the path to
 every node.
 
-Determinism: adjacency lists are sorted by node id, Dijkstra pops are
-ordered by (time, node), and among equal-time paths the returned node
-sequence is the lexicographically smallest one.
+The graph is one CSR matrix of base times whose rows and columns are
+the nodes in ascending id order.  Determinism: Dijkstra's times do not
+depend on the order it scans nodes in, and among equal-time paths the
+returned node sequence is the lexicographically smallest one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order, dijkstra
 
 
 class NetworkLoadError(ValueError):
@@ -114,7 +114,6 @@ class Network:
         if not self.coords:
             raise NetworkLoadError("network has no nodes")
         self.node_ids = tuple(sorted(self.coords))
-        adj: dict[int, list] = {n: [] for n in self.node_ids}
         self.edge_data: dict[tuple[int, int], tuple[float, float]] = {}
         for u, v, length_m, tt_s in edges:
             u, v = int(u), int(v)
@@ -123,15 +122,21 @@ class Network:
                 raise NetworkLoadError(f"edge ({u},{v}) references unknown node")
             if u == v:
                 raise NetworkLoadError(f"edge ({u},{v}) is a self loop")
-            if not (length_m > 0.0) or not (tt_s > 0.0):
+            if not (0.0 < length_m < math.inf and 0.0 < tt_s < math.inf):
                 raise NetworkLoadError(
-                    f"edge ({u},{v}) must have positive length and travel time"
+                    f"edge ({u},{v}) must have positive, finite length and travel time"
                 )
             if (u, v) in self.edge_data:
                 raise NetworkLoadError(f"duplicate edge ({u},{v})")
             self.edge_data[(u, v)] = (length_m, tt_s)
-            adj[u].append((v, tt_s, length_m))
-        self._adj = {n: tuple(sorted(lst)) for n, lst in adj.items()}
+        self._pos = {n: i for i, n in enumerate(self.node_ids)}
+        ends = np.array([(self._pos[u], self._pos[v]) for u, v in self.edge_data],
+                        dtype=int).reshape(-1, 2)
+        # converting from (row, col) pairs sorts each row's columns, so
+        # depth_first_order visits children in ascending id
+        self._times = sparse.csr_matrix(
+            ([tt for _, tt in self.edge_data.values()], (ends[:, 0], ends[:, 1])),
+            shape=(len(self.node_ids),) * 2)
         if zones is None:
             self.zones = {n: 0 for n in self.node_ids}
         else:
@@ -154,15 +159,9 @@ class Network:
     def _check_strongly_connected(self):
         """Every node is reachable from and to the first one; else name the
         smallest node that is not."""
-        index = {n: i for i, n in enumerate(self.node_ids)}
-        n = len(self.node_ids)
-        ends = np.array([(index[u], index[v]) for u, v in self.edge_data],
-                        dtype=int).reshape(-1, 2)
-        adj = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
-                                shape=(n, n))
         start = self.node_ids[0]
-        for graph, direction in ((adj, "from"), (adj.T, "to")):
-            reached = np.zeros(n, dtype=bool)
+        for graph, direction in ((self._times, "from"), (self._times.T, "to")):
+            reached = np.zeros(len(self.node_ids), dtype=bool)
             reached[breadth_first_order(graph, 0, return_predecessors=False)] = True
             if not reached.all():
                 bad = self.node_ids[int(np.argmin(reached))]
@@ -198,42 +197,32 @@ class Network:
     def _build_tree(self, origin: int) -> dict:
         """Build and cache origin's rows ``node -> (base_tt_s, distance_m, parent)``.
 
-        Dijkstra on base times gives every node's time.  A preorder walk of
-        the tight edges (those that keep a path time-minimal), children in
-        ascending id, then takes each node on its first visit.  That visit
-        follows the lexicographically smallest time-minimal path, because
+        Dijkstra on base times gives every node's time.  A depth-first
+        preorder walk of the tight edges (those that keep a path
+        time-minimal), children in ascending id, then reaches each node
+        along the lexicographically smallest time-minimal path, because
         every prefix of such a path is itself one.  Distances are summed
         from the origin along that path.
         """
-        if origin not in self.coords:
+        i = self._pos.get(origin)
+        if i is None:
             raise NoPathError(f"unknown node {origin}")
-        tt_to: dict[int, float] = {origin: 0.0}
-        done = set()
-        heap = [(0.0, origin)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v, tt, _ in self._adj[u]:
-                nd = d + tt
-                if v not in tt_to or nd < tt_to[v]:
-                    tt_to[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        tree: dict[int, tuple[float, float, int | None]] = {}
-        stack = [(origin, None, 0.0)]
-        while stack:
-            u, parent, dist_m = stack.pop()
-            if u in tree:
-                continue
-            tree[u] = (tt_to[u], dist_m, parent)
-            t_u = tt_to[u]
-            # pushed in reverse so the smallest id pops first; the relative
-            # tolerance absorbs rounding in Dijkstra's sums of edge times
-            for v, tt, ln in reversed(self._adj[u]):
-                t_v = tt_to[v]
-                if v not in tree and abs(t_u + tt - t_v) <= 1e-7 * max(1.0, t_v):
-                    stack.append((v, u, dist_m + ln))
+        g = self._times
+        t = dijkstra(g, indices=i)
+        t_v = t[g.indices]
+        # the relative tolerance absorbs rounding in Dijkstra's sums
+        tight = (np.abs(np.repeat(t, np.diff(g.indptr)) + g.data - t_v)
+                 <= 1e-7 * np.maximum(1.0, t_v))
+        # the tight edges alone; each row keeps its columns' ascending order
+        starts = np.concatenate(([0], np.cumsum(tight)))[g.indptr]
+        order, parents = depth_first_order(
+            sparse.csr_matrix((g.data[tight], g.indices[tight], starts),
+                              shape=g.shape), i)
+        ids, times, parents = self.node_ids, t.tolist(), parents.tolist()
+        tree: dict[int, tuple[float, float, int | None]] = {origin: (0.0, 0.0, None)}
+        for v in order[1:].tolist():
+            u, node = ids[parents[v]], ids[v]
+            tree[node] = (times[v], tree[u][1] + self.edge_data[(u, node)][0], u)
         self._trees[origin] = tree
         return tree
 

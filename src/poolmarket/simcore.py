@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .assign import reoptimize
 from .broker import SCENARIOS, dispatch_request
@@ -104,6 +104,12 @@ class SimulationResult:
         return sum(1 for o in self.outcomes.values() if o["operator"] is not None)
 
 
+def require_nonnegative(keypath: str, value: float):
+    """Costs, weights and tolerances must be >= 0 and finite."""
+    if not 0.0 <= value < math.inf:
+        raise SimulationError(keypath, f"must be >= 0 and finite, got {value}")
+
+
 def _validate(config: SimulationConfig):
     """The range and consistency rules of a run; raises SimulationError."""
     if config.scenario not in SCENARIOS:
@@ -122,10 +128,9 @@ def _validate(config: SimulationConfig):
     if config.constraints.capacity < 1:
         raise SimulationError("constraints.capacity", "must be >= 1")
     for key in ("max_wait_s", "max_detour_rel", "dwell_s"):
-        value = getattr(config.constraints, key)
-        if not 0.0 <= value < math.inf:
-            raise SimulationError(f"constraints.{key}",
-                                  f"must be >= 0 and finite, got {value}")
+        require_nonnegative(f"constraints.{key}", getattr(config.constraints, key))
+    for f in fields(config.econ):
+        require_nonnegative(f"econ.{f.name}", getattr(config.econ, f.name))
     if not config.operators:
         raise SimulationError("operators", "at least one operator required")
     if config.scenario == "single" and len(config.operators) != 1:
@@ -139,6 +144,9 @@ def _validate(config: SimulationConfig):
         where = f"operators[{i}]"
         if oc.fleet_size < 1:
             raise SimulationError(f"{where}.fleet_size", "must be >= 1")
+        for key in ("c_dis_eur_per_km", "c_vot_eur_per_h", "assignment_reward_eur"):
+            if getattr(oc, key) is not None:
+                require_nonnegative(f"{where}.{key}", getattr(oc, key))
         if oc.start_nodes is None:
             continue
         if len(oc.start_nodes) != oc.fleet_size:

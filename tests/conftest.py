@@ -98,8 +98,8 @@ def enumerate_min_travel_time(network, origin, dest):
         if u == dest:
             paths.append((t, tuple(seen), dist))
             return
-        for v, tt, ln in network._adj[u]:
-            if v not in seen:
+        for (a, v), (ln, tt) in network.edge_data.items():
+            if a == u and v not in seen:
                 seen.append(v)
                 walk(v, t + tt, dist + ln, seen)
                 seen.pop()

@@ -136,6 +136,23 @@ def test_wrong_value_types_exit_two_naming_file_line_and_key(
      lambda t: t + "constraints:\n  max_wait_s: .inf\n", ".inf"),
     ("constraints.max_detour_rel",
      lambda t: t + "constraints:\n  max_detour_rel: -1\n", "-1"),
+    ("operators[0].c_vot_eur_per_h",
+     lambda t: t.replace("start_nodes: [0]\n",
+                         "start_nodes: [0]\n    c_vot_eur_per_h: .nan\n"), ".nan"),
+    ("operators[0].c_dis_eur_per_km",
+     lambda t: t.replace("start_nodes: [0]\n",
+                         "start_nodes: [0]\n    c_dis_eur_per_km: -100\n"), "-100"),
+    ("operators[0].assignment_reward_eur",
+     lambda t: t.replace("start_nodes: [0]\n",
+                         "start_nodes: [0]\n    assignment_reward_eur: .inf\n"),
+     ".inf"),
+    ("econ.fare_eur_per_km", lambda t: t + "econ:\n  fare_eur_per_km: .nan\n",
+     ".nan"),
+    # the whole network is rejected, at its own line
+    ("network", lambda t: t.replace("[0, 1, 500.0, 50.0]", "[0, 1, 500.0, .inf]"),
+     "network:"),
+    ("network", lambda t: t.replace("[0, 1, 500.0, 50.0]", "[0, 1, .inf, 50.0]"),
+     "network:"),
 ])
 def test_out_of_range_values_exit_two_in_validate_and_simulate(
         tmp_path, capsys, keypath, edit, needle):
@@ -194,6 +211,12 @@ _BAD_GAME_OR_CALIBRATION = [
      "    - {fleet_size: 1}\n", "initial_params"),
     ("game", "game.initial_params[0].fleet_size",
      "game:\n  initial_params:\n    - {fleet_size: 0}\n", "fleet_size: 0"),
+    ("game", "game.objective_options[1][1]",
+     "game:\n  objective_options:\n    - [0.25, 16.2]\n    - [0.25, .nan]\n",
+     ".nan"),
+    ("game", "game.objective_options[1][0]",
+     "game:\n  objective_options:\n    - [0.25, 16.2]\n    - [-0.5, 16.2]\n",
+     "-0.5"),
     ("calibrate", "calibration.target_service_rate",
      "calibration:\n  fleet_sizes: [1, 2]\n  target_service_rate: 1.5\n",
      "1.5"),

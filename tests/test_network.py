@@ -47,9 +47,12 @@ def test_loader_rejects_unknown_node():
 
 def test_loader_rejects_nonpositive_edge():
     nodes = {0: (0.0, 0.0), 1: (1.0, 0.0)}
-    edges = [(0, 1, 100.0, 0.0), (1, 0, 100.0, 10.0)]
-    with pytest.raises(NetworkLoadError, match=r"edge \(0,1\) must have positive"):
-        Network(nodes, edges)
+    for length_m, tt_s in [(100.0, 0.0), (0.0, 10.0), (-5.0, 10.0),
+                           (100.0, math.inf), (math.inf, 10.0), (math.nan, 10.0)]:
+        edges = [(0, 1, length_m, tt_s), (1, 0, 100.0, 10.0)]
+        with pytest.raises(NetworkLoadError,
+                           match=r"edge \(0,1\) must have positive, finite length"):
+            Network(nodes, edges)
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -90,8 +93,15 @@ def test_paths_optimal_against_enumeration():
 
 @st.composite
 def tie_heavy_networks(draw):
-    """A ring plus chords; times are few multiples of 0.1 s, so paths tie."""
+    """A ring plus chords; times are few multiples of 0.1 s, so paths tie.
+
+    Node ids are either 0..n-1 around the ring or sparse ids in another
+    order, so that ascending id is not ascending ring position.
+    """
     n = draw(st.integers(3, 6))
+    ids = draw(st.one_of(
+        st.just(list(range(n))),
+        st.lists(st.integers(0, 999), min_size=n, max_size=n, unique=True)))
     times = st.integers(1, 3).map(lambda k: k * 0.1)
     lengths = st.integers(1, 5).map(lambda k: k * 100.0)
     edges = {(i, (i + 1) % n): (draw(lengths), draw(times)) for i in range(n)}
@@ -100,8 +110,9 @@ def tie_heavy_networks(draw):
     for u, v in chords:
         if u != v:
             edges.setdefault((u, v), (draw(lengths), draw(times)))
-    nodes = {i: (float(i), 0.0) for i in range(n)}
-    return Network(nodes, [(u, v, ln, tt) for (u, v), (ln, tt) in edges.items()])
+    nodes = {ids[i]: (float(i), 0.0) for i in range(n)}
+    return Network(nodes, [(ids[u], ids[v], ln, tt)
+                           for (u, v), (ln, tt) in edges.items()])
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
