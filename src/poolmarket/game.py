@@ -86,10 +86,14 @@ def _simulate_cell(config: SimulationConfig):
 
 
 def _cell_configs(base: SimulationConfig, params_by_op) -> SimulationConfig:
+    """Base config with operator i set to params_by_op[i]; it keeps the base
+    operator's assignment reward when there is one."""
     ops = [OperatorConfig(p.fleet_size,
                           c_dis_eur_per_km=p.c_dis_eur_per_km,
-                          c_vot_eur_per_h=p.c_vot_eur_per_h)
-           for p in params_by_op]
+                          c_vot_eur_per_h=p.c_vot_eur_per_h,
+                          assignment_reward_eur=(base.operators[i].assignment_reward_eur
+                                                 if i < len(base.operators) else None))
+           for i, p in enumerate(params_by_op)]
     return dataclasses.replace(base, operators=ops)
 
 

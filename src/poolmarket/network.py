@@ -4,14 +4,13 @@ Edge base travel times are multiplied by a global scale factor that is
 constant within each profile interval.  Because the scaling is uniform
 across all edges, the time-minimal path between two nodes is the same in
 every interval; only its travel time changes.  Paths are therefore
-computed once on base times and scaled per query: one shortest-path
-tree per origin gives the base time, the distance and the path to
-every node.
+computed once on base times and scaled per query: a network builds one
+shortest-path tree per origin, which gives the base time, the distance
+and the path to every node; memory grows as the node count squared.
 
-The graph is one CSR matrix of base times whose rows and columns are
-the nodes in ascending id order.  Determinism: Dijkstra's times do not
-depend on the order it scans nodes in, and among equal-time paths the
-returned node sequence is the lexicographically smallest one.
+Determinism: Dijkstra's times do not depend on the order it scans
+nodes in, and among equal-time paths the returned node sequence is the
+lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, depth_first_order, dijkstra
+from scipy.sparse.csgraph import depth_first_order, dijkstra
 
 
 class NetworkLoadError(ValueError):
@@ -101,12 +100,45 @@ class TravelTimeProfile:
         return base
 
 
+def _smallest_paths(times, src, dst, lengths, tt_s):
+    """Parent and distance of every node from every origin, as n x n arrays.
+
+    A depth-first preorder walk of the tight edges from an origin (those
+    that keep a path time-minimal), children in ascending id, reaches each
+    node along the lexicographically smallest time-minimal path, because
+    every prefix of such a path is itself one.  One walk covers every
+    origin: it runs on n disjoint copies of the graph, copy i holding
+    origin i's tight edges, entered from one extra node.  Each node has one
+    in-edge in the walk's trees, so Dijkstra on their lengths sums each
+    distance from its parent's, as a walk from the origin would.
+    """
+    n = len(times)
+    # tight[i, e]: edge e keeps a path from origin i time-minimal; the
+    # relative tolerance absorbs rounding in Dijkstra's sums
+    tight = np.array([np.abs(t[src] + tt_s - t[dst]) <= 1e-7 * np.maximum(1.0, t[dst])
+                      for t in times])
+    # node v of copy i is i * n + v; node n * n leads to every origin
+    origin, e = np.nonzero(tight)
+    rows, cols = origin * n + src[e], origin * n + dst[e]
+    roots = np.arange(n) * (n + 1)
+    parents = depth_first_order(sparse.csr_matrix(
+        (np.append(tt_s[e], np.ones(n)),
+         (np.append(rows, np.full(n, n * n)), np.append(cols, roots))),
+        shape=(n * n + 1,) * 2), n * n)[1][:-1]
+    in_tree = parents[cols] == rows
+    trees = sparse.csr_matrix((lengths[e[in_tree]], (rows[in_tree], cols[in_tree])),
+                              shape=(n * n,) * 2)
+    dist = dijkstra(trees, indices=roots, min_only=True)
+    # a parent's position within its copy; an origin's entry is never read
+    return parents.reshape(n, n) % n, dist.reshape(n, n)
+
+
 class Network:
     """Directed road graph with zones and a travel-time profile.
 
-    Structure is immutable after construction.  Each origin's
-    shortest-path tree is built on its first query and cached; it holds
-    base times only, so assigning a new ``profile`` takes effect at once.
+    Structure is immutable after construction, which builds every
+    origin's shortest-path row, so memory grows as n².  Rows hold base
+    times only, so assigning a new ``profile`` takes effect at once.
     """
 
     def __init__(self, nodes, edges, zones=None, profile: TravelTimeProfile | None = None):
@@ -129,14 +161,6 @@ class Network:
             if (u, v) in self.edge_data:
                 raise NetworkLoadError(f"duplicate edge ({u},{v})")
             self.edge_data[(u, v)] = (length_m, tt_s)
-        self._pos = {n: i for i, n in enumerate(self.node_ids)}
-        ends = np.array([(self._pos[u], self._pos[v]) for u, v in self.edge_data],
-                        dtype=int).reshape(-1, 2)
-        # converting from (row, col) pairs sorts each row's columns, so
-        # depth_first_order visits children in ascending id
-        self._times = sparse.csr_matrix(
-            ([tt for _, tt in self.edge_data.values()], (ends[:, 0], ends[:, 1])),
-            shape=(len(self.node_ids),) * 2)
         if zones is None:
             self.zones = {n: 0 for n in self.node_ids}
         else:
@@ -148,27 +172,9 @@ class Network:
             if unknown:
                 raise NetworkLoadError(f"zone mapping references unknown node {unknown[0]}")
         self.profile = profile if profile is not None else TravelTimeProfile()
-        self._check_strongly_connected()
+        self._pos = {n: i for i, n in enumerate(self.node_ids)}
+        self._build_rows()
         self._centroids = self._compute_zone_centroids()
-        # origin -> rows of its shortest-path tree, filled lazily
-        self._trees: dict[int, dict[int, tuple[float, float, int | None]]] = {}
-        self._diameter_m: float | None = None
-
-    # -- validation ------------------------------------------------------
-
-    def _check_strongly_connected(self):
-        """Every node is reachable from and to the first one; else name the
-        smallest node that is not."""
-        start = self.node_ids[0]
-        for graph, direction in ((self._times, "from"), (self._times.T, "to")):
-            reached = np.zeros(len(self.node_ids), dtype=bool)
-            reached[breadth_first_order(graph, 0, return_predecessors=False)] = True
-            if not reached.all():
-                bad = self.node_ids[int(np.argmin(reached))]
-                raise NetworkLoadError(
-                    f"node {bad} not reachable {direction} node {start}: "
-                    "demand subgraph must be strongly connected"
-                )
 
     def _compute_zone_centroids(self) -> dict[int, int]:
         by_zone: dict[int, list[int]] = {}
@@ -194,73 +200,66 @@ class Network:
 
     # -- shortest paths --------------------------------------------------
 
-    def _build_tree(self, origin: int) -> dict:
-        """Build and cache origin's rows ``node -> (base_tt_s, distance_m, parent)``.
+    def _build_rows(self):
+        """Fill ``_tt``, ``_dist`` and ``_parent``: per origin position, lists
+        indexed by node position."""
+        n = len(self.node_ids)
+        # edges sorted by (tail, head) position, the order of CSR entries
+        edges = sorted((self._pos[u], self._pos[v], *e) for (u, v), e in self.edge_data.items())
+        src, dst, lengths, tt_s = np.array(edges).reshape(-1, 4).T
+        src, dst = src.astype(int), dst.astype(int)
+        # one CSR matrix of base times, rows and columns in ascending id
+        times = dijkstra(sparse.csr_matrix((tt_s, (src, dst)), shape=(n, n)))
+        self._check_strongly_connected(times)
+        parents, dist = _smallest_paths(times, src, dst, lengths, tt_s)
+        self._tt, self._dist, self._parent = times.tolist(), dist.tolist(), parents.tolist()
 
-        Dijkstra on base times gives every node's time.  A depth-first
-        preorder walk of the tight edges (those that keep a path
-        time-minimal), children in ascending id, then reaches each node
-        along the lexicographically smallest time-minimal path, because
-        every prefix of such a path is itself one.  Distances are summed
-        from the origin along that path.
-        """
-        i = self._pos.get(origin)
-        if i is None:
-            raise NoPathError(f"unknown node {origin}")
-        g = self._times
-        t = dijkstra(g, indices=i)
-        t_v = t[g.indices]
-        # the relative tolerance absorbs rounding in Dijkstra's sums
-        tight = (np.abs(np.repeat(t, np.diff(g.indptr)) + g.data - t_v)
-                 <= 1e-7 * np.maximum(1.0, t_v))
-        # the tight edges alone; each row keeps its columns' ascending order
-        starts = np.concatenate(([0], np.cumsum(tight)))[g.indptr]
-        order, parents = depth_first_order(
-            sparse.csr_matrix((g.data[tight], g.indices[tight], starts),
-                              shape=g.shape), i)
-        ids, times, parents = self.node_ids, t.tolist(), parents.tolist()
-        tree: dict[int, tuple[float, float, int | None]] = {origin: (0.0, 0.0, None)}
-        for v in order[1:].tolist():
-            u, node = ids[parents[v]], ids[v]
-            tree[node] = (times[v], tree[u][1] + self.edge_data[(u, node)][0], u)
-        self._trees[origin] = tree
-        return tree
+    def _check_strongly_connected(self, times):
+        """Every node is reachable from and to the first one; else name the
+        smallest node that is not."""
+        start = self.node_ids[0]
+        for reach, direction in ((times[0], "from"), (times[:, 0], "to")):
+            if not np.isfinite(reach).all():
+                bad = self.node_ids[int(np.argmin(np.isfinite(reach)))]
+                raise NetworkLoadError(
+                    f"node {bad} not reachable {direction} node {start}: "
+                    "demand subgraph must be strongly connected"
+                )
 
-    def _row(self, origin: int, dest: int) -> tuple[float, float, int | None]:
-        # a tree always holds its origin, so a cached one is never empty
-        row = (self._trees.get(origin) or self._build_tree(origin)).get(dest)
-        if row is None:
-            raise NoPathError(f"unknown node {dest}")
-        return row
+    def _at(self, origin: int, dest: int) -> tuple[int, int]:
+        try:
+            return self._pos[origin], self._pos[dest]
+        except KeyError as e:
+            raise NoPathError(f"unknown node {e.args[0]}") from None
 
     def shortest_path(self, origin: int, dest: int, query_time_s: float = 0.0) -> PathResult:
         """Time-minimal path under the scale factor active at query_time_s."""
-        tt, dist_m, parent = self._row(origin, dest)
-        tree = self._trees[origin]
-        nodes = [dest]
-        while parent is not None:
-            nodes.append(parent)
-            parent = tree[parent][2]
+        i, j = self._at(origin, dest)
+        ids, parents, k = self.node_ids, self._parent[i], j
+        nodes = [ids[j]]
+        while k != i:
+            k = parents[k]
+            nodes.append(ids[k])
         nodes.reverse()
-        return PathResult(tt * self.profile.factor_at(query_time_s), dist_m, tuple(nodes))
+        return PathResult(self._tt[i][j] * self.profile.factor_at(query_time_s),
+                          self._dist[i][j], tuple(nodes))
 
     def travel_time(self, origin: int, dest: int, query_time_s: float = 0.0) -> float:
-        return self._row(origin, dest)[0] * self.profile.factor_at(query_time_s)
+        i, j = self._at(origin, dest)
+        return self._tt[i][j] * self.profile.factor_at(query_time_s)
 
     def base_travel_time(self, origin: int, dest: int) -> float:
         """Unscaled travel time; with min_factor it lower-bounds any query."""
-        return self._row(origin, dest)[0]
+        i, j = self._at(origin, dest)
+        return self._tt[i][j]
 
     def min_factor(self) -> float:
         return min(self.profile.factors)
 
     def distance(self, origin: int, dest: int) -> float:
-        return self._row(origin, dest)[1]
+        i, j = self._at(origin, dest)
+        return self._dist[i][j]
 
     def diameter_distance_m(self) -> float:
         """Largest distance of any returned path between node pairs."""
-        if self._diameter_m is None:
-            self._diameter_m = max(
-                row[1] for o in self.node_ids
-                for row in (self._trees.get(o) or self._build_tree(o)).values())
-        return self._diameter_m
+        return max(map(max, self._dist))

@@ -16,6 +16,7 @@ from poolmarket.game import (
     detect_alternation,
     play_turn,
     run_game,
+    _cell_configs,
     _fleet_axis,
     _refusal_penalty,
 )
@@ -35,6 +36,17 @@ def toy_base(scenario="user_decision", trips=EASY_TRIPS, **kw):
                 trips=trips, reposition_enabled=False, master_seed=5)
     base.update(kw)
     return SimulationConfig(**base)
+
+
+def test_cells_keep_the_base_assignment_reward():
+    base = toy_base(operators=[OperatorConfig(1, assignment_reward_eur=100.0),
+                               OperatorConfig(1)])
+    cell = _cell_configs(base, [OperatorParams(3, 0.5, 8.1), OperatorParams(2),
+                                OperatorParams(1)])
+    assert [op.assignment_reward_eur for op in cell.operators] == [100.0, None, None]
+    assert [op.fleet_size for op in cell.operators] == [3, 2, 1]
+    assert cell.operators[0].c_dis_eur_per_km == 0.5
+    assert cell.operators[0].c_vot_eur_per_h == 8.1
 
 
 def test_fleet_axis_centering_and_clipping():

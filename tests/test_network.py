@@ -64,7 +64,11 @@ def test_loader_rejects_nonpositive_edge():
     ([(0, 1, 100.0, 10.0), (1, 0, 100.0, 10.0), (1, 3, 100.0, 10.0),
       (1, 2, 100.0, 10.0)],
      "node 2 not reachable to node 0"),
-], ids=["from", "to"])
+    # sparse ids: position 1 is id 40, the smallest id nothing leads to
+    ([(7, 900, 100.0, 10.0), (900, 7, 100.0, 10.0), (40, 7, 100.0, 10.0),
+      (300, 900, 100.0, 10.0)],
+     "node 40 not reachable from node 7"),
+], ids=["from", "to", "sparse-ids"])
 def test_disconnected_network_rejected(edges, message):
     nodes = {n: (float(n), 0.0) for edge in edges for n in edge[:2]}
     with pytest.raises(NetworkLoadError, match=message):
@@ -158,8 +162,10 @@ def test_repeat_queries_identical():
 
 
 def test_unknown_node_query_raises(line10):
-    with pytest.raises(NoPathError):
+    with pytest.raises(NoPathError, match="unknown node 77"):
         line10.shortest_path(0, 77, 0.0)
+    with pytest.raises(NoPathError, match="unknown node 88"):
+        line10.travel_time(88, 77, 0.0)
 
 
 def test_profile_clamping_and_boundaries():
@@ -204,3 +210,15 @@ def test_diameter_is_the_longest_returned_path():
         net = make_tie_grid(seed)
         longest = max(net.distance(o, d) for o in net.node_ids for d in net.node_ids)
         assert net.diameter_distance_m() == longest
+
+
+def test_queries_return_python_numbers():
+    # numpy scalars would print as np.float64(...) in reports and events
+    net = make_tie_grid(3)
+    o, d = net.node_ids[0], net.node_ids[-1]
+    res = net.shortest_path(o, d, 0.0)
+    for value in (net.travel_time(o, d, 0.0), net.base_travel_time(o, d),
+                  net.distance(o, d), net.diameter_distance_m(),
+                  res.travel_time_s, res.distance_m):
+        assert type(value) is float
+    assert all(type(n) is int for n in res.nodes)
