@@ -8,6 +8,7 @@ failing config is fixable without reading this module.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import types
 import typing
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .demand import read_trip_rows, RawTrip
+from .demand import read_trip_rows, RawTrip, request_time_problem
 from .economics import EconParams
 from .game import (CalibrationError, GameConfig, OperatorParams,
                    _validate_calibration, _validate_game)
@@ -23,6 +24,10 @@ from .network import Network, NetworkLoadError, TravelTimeProfile
 from .operators import Constraints
 from .simcore import (OperatorConfig, SimulationConfig, SimulationError,
                       _validate)
+
+# libyaml's parser when PyYAML has it: several times faster on network
+# files; the constructor and resolver stay PyYAML's SafeLoader ones
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # a calibration runs one full simulation per swept fleet size
 _MAX_SWEPT_SIZES = 10_000
@@ -48,13 +53,17 @@ class _Source:
         where = self.path if line is None else f"{self.path}:{line}"
         raise ConfigError(f"{where}: {keypath}: {problem}")
 
+    @functools.cached_property
+    def _root(self):
+        return yaml.compose(self.text, Loader=_LOADER)
+
     def line_of(self, keypath: str):
         """1-based line of the deepest node keypath reaches; None at the root.
 
         A key the document lacks is skipped, so a network file without the
         `network:` wrapper still resolves `network.edges[3]`.
         """
-        node = yaml.compose(self.text, Loader=yaml.SafeLoader)
+        node = self._root
         line = None
         for key, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", keypath):
             if key and isinstance(node, yaml.MappingNode):
@@ -75,14 +84,19 @@ class _Source:
 def load_file(path) -> tuple[dict, _Source]:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     src = _Source(path, text)
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
+        mark = getattr(exc, "problem_mark", None)
+        where = path if mark is None else f"{path}:{mark.line + 1}"
+        problem = " ".join((getattr(exc, "problem", None) or str(exc)).split())
+        raise ConfigError(f"{where}: not valid YAML: {problem}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return doc, src
@@ -239,6 +253,9 @@ def _build_demand(doc, src, base_dir):
                 src.fail(where, "expected [id, t_req_s, origin, destination]")
             tid, t, o, d, *dur = [_cast(v, kind, where, src) for v, kind
                                   in zip(row, (int, float, int, int, float))]
+            problem = request_time_problem(t)
+            if problem:
+                src.fail(where, problem)
             trips.append(RawTrip(tid, t, o, d, dur[0] if dur else None))
         return trips, None
     if "trips_file" in spec:

@@ -43,6 +43,13 @@ SPEED_MIN_MPS = 1.0
 SPEED_MAX_MPS = 30.0
 
 
+def request_time_problem(t_req_s: float) -> str | None:
+    """What is wrong with a trip's request time, or None when it is usable."""
+    if not 0.0 <= t_req_s < math.inf:
+        return f"request time must be finite and >= 0, got {t_req_s!r}"
+    return None
+
+
 def read_trip_rows(path) -> list[RawTrip]:
     """Parse a trip file; raises DemandError naming the offending row.
 
@@ -51,9 +58,11 @@ def read_trip_rows(path) -> list[RawTrip]:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DemandError(f"{path}: cannot read file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DemandError(f"{path}: not UTF-8 text ({exc})") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DemandError(f"{path}: file is empty")
@@ -74,12 +83,19 @@ def read_trip_rows(path) -> list[RawTrip]:
             raise DemandError(
                 f"{path}: row {row_no}: expected id,request_time_s,origin_node,"
                 f"destination_node[,recorded_duration_s], got {len(values)} cells")
-        tid = int(values[0])
+        try:
+            tid, origin, dest = int(values[0]), int(values[2]), int(values[3])
+        except (ValueError, OverflowError):
+            raise DemandError(f"{path}: row {row_no}: id and nodes must be "
+                              f"finite numbers, got {line!r}") from None
+        problem = request_time_problem(values[1])
+        if problem:
+            raise DemandError(f"{path}: row {row_no}: {problem}")
         if tid in seen_ids:
             raise DemandError(f"{path}: row {row_no}: duplicate trip id {tid}")
         seen_ids.add(tid)
         dur = values[4] if len(values) == 5 else None
-        trips.append(RawTrip(tid, values[1], int(values[2]), int(values[3]), dur))
+        trips.append(RawTrip(tid, values[1], origin, dest, dur))
     if not trips:
         raise DemandError(f"{path}: no data rows")
     return trips
@@ -119,13 +135,14 @@ def ingest_requests(trips, network: Network, subsample_rate: float = 1.0,
             raise DemandError(f"trip {trip.trip_id}: unknown destination node {trip.destination}")
         if trip.origin == trip.destination:
             continue  # zero-length record, defective
-        if trip.t_req_s < 0:
-            raise DemandError(f"trip {trip.trip_id}: negative request time")
+        problem = request_time_problem(trip.t_req_s)
+        if problem:
+            raise DemandError(f"trip {trip.trip_id}: {problem}")
         path = network.shortest_path(trip.origin, trip.destination, trip.t_req_s)
         if trip.recorded_duration_s is not None:
             dur = trip.recorded_duration_s
-            # nonpositive duration implies infinite speed: defective
-            speed = math.inf if dur <= 0 else path.distance_m / dur
+            # a nonpositive or NaN duration is defective: call it infinite speed
+            speed = path.distance_m / dur if dur > 0 else math.inf
             if speed < SPEED_MIN_MPS or speed > SPEED_MAX_MPS:
                 continue
         if horizon_s is not None and not (0.0 <= trip.t_req_s < horizon_s):

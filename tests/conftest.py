@@ -20,9 +20,11 @@ def make_line_network(n=10, spacing_m=500.0, speed_mps=10.0, profile=None, zones
     return Network(nodes, edges, zones=zones, profile=profile)
 
 
-def make_grid_network(rows=4, cols=5, spacing_m=400.0, speed_mps=10.0, profile=None,
-                      zone_split=None):
-    """Rectangular grid, bidirectional edges; optional quadrant zones."""
+def grid_layout(rows=4, cols=5, spacing_m=400.0, speed_mps=10.0, zone_split=None):
+    """Nodes, edges and zones of a rectangular grid with bidirectional edges.
+
+    Zones, when asked for, are the four quadrants; otherwise None.
+    """
     nodes = {}
     for r in range(rows):
         for c in range(cols):
@@ -44,6 +46,13 @@ def make_grid_network(rows=4, cols=5, spacing_m=400.0, speed_mps=10.0, profile=N
         for r in range(rows):
             for c in range(cols):
                 zones[r * cols + c] = (0 if c < cols // 2 else 1) + (0 if r < rows // 2 else 2)
+    return nodes, edges, zones
+
+
+def make_grid_network(rows=4, cols=5, spacing_m=400.0, speed_mps=10.0, profile=None,
+                      zone_split=None):
+    """Rectangular grid, bidirectional edges; optional quadrant zones."""
+    nodes, edges, zones = grid_layout(rows, cols, spacing_m, speed_mps, zone_split)
     return Network(nodes, edges, profile=profile, zones=zones)
 
 

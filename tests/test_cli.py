@@ -338,6 +338,60 @@ def test_missing_network_file_is_config_error(tmp_path, capsys):
     assert main(["validate", str(p)]) == 2
 
 
+@pytest.mark.parametrize("content, problem", [
+    (None, ": cannot read "),
+    ("dir", ": cannot read "),
+    (b"a: [1, 2\n", ":2: not valid YAML: "),
+    (b"- 1\n- 2\n", ": top level must be a mapping"),
+    (b"\xff\xfea: 1\n", ": not UTF-8 text "),
+])
+def test_unloadable_config_exits_two_with_one_line(tmp_path, capsys, content,
+                                                   problem):
+    p = tmp_path / "cfg.yaml"
+    if content == "dir":
+        p.mkdir()
+    elif content is not None:
+        p.write_bytes(content)
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(p) + problem)}[^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("t", ["-5.0", ".nan", ".inf", "-.inf"])
+def test_bad_inline_request_time_exits_two_naming_its_row(tmp_path, capsys, t):
+    p = tmp_path / "bad.yaml"
+    p.write_text(line_config(demand="demand:\n  trips:\n    - [1, 0.0, 1, 4]\n"
+                                    f"    - [2, {t}, 2, 5]\n"))
+    for argv in (["validate", str(p)],
+                 ["simulate", str(p), "--out", str(tmp_path / "run")]):
+        assert main(argv) == 2, argv
+        no = _one_line_error(capsys.readouterr().err, p, "demand.trips[1]")
+        assert p.read_text().splitlines()[no - 1] == f"    - [2, {t}, 2, 5]"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("row, problem", [
+    (b"2,nan,2,5", "row 3: request time must be finite and >= 0, got nan"),
+    (b"2,inf,2,5", "row 3: request time must be finite and >= 0, got inf"),
+    (b"2,-5,2,5", "row 3: request time must be finite and >= 0, got -5.0"),
+    (b"nan,0,2,5", "row 3: id and nodes must be finite numbers"),
+    (b"2,0,2,\xff\xfe", "not UTF-8 text"),
+])
+def test_bad_trips_file_exits_two_naming_the_file(tmp_path, capsys, row,
+                                                  problem):
+    trips = tmp_path / "trips.csv"
+    trips.write_bytes(b"id,t,o,d\n1,0,1,4\n" + row + b"\n")
+    p = tmp_path / "cfg.yaml"
+    p.write_text(line_config(demand="demand: {trips_file: trips.csv}\n"))
+    for argv in (["validate", str(p)],
+                 ["simulate", str(p), "--out", str(tmp_path / "run")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trips}: ") and problem in err, err
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_writes_the_advertised_files(cfg_path, tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0

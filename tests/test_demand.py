@@ -30,6 +30,7 @@ def test_speed_filter_drops_out_of_band_rows(line10):
         RawTrip(3, 0.0, 0, 9, 100.0),     # 45 m/s: dropped
         RawTrip(4, 0.0, 0, 9, 450.0),     # 10 m/s: kept
         RawTrip(5, 0.0, 0, 9, 0.0),       # defective duration: dropped
+        RawTrip(6, 0.0, 0, 9, math.nan),  # defective duration: dropped
     ]
     reqs = ingest_requests(trips, line10, subsample_rate=1.0, seed=1)
     assert [r.request_id for r in reqs] == [0, 2, 4]
@@ -149,3 +150,9 @@ def test_requests_sorted_by_time_then_id(line10):
     ]
     reqs = ingest_requests(trips, line10)
     assert [r.request_id for r in reqs] == [9, 2, 5]
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_ingest_rejects_unusable_request_times(line10, t):
+    with pytest.raises(DemandError, match="trip 4: request time must be finite"):
+        ingest_requests([RawTrip(4, t, 0, 9, None)], line10)
