@@ -49,17 +49,12 @@ class V2RB:
     """One assignable option: a vehicle together with a request bundle.
 
     The bundle always includes the customers already on the vehicle.
-    ``grandfathered`` marks an option carried over from the current plan
-    even though it no longer passes every check, which can happen after
-    travel times change; such schedules keep their booking but are not
-    re-validated on apply.
     """
 
     vehicle_id: int
     bundle: frozenset
     cost: float
     schedule: Schedule | None
-    grandfathered: bool = False
 
     def key(self):
         return (self.vehicle_id, tuple(sorted(self.bundle)))
@@ -190,16 +185,6 @@ def _best_bundle_order(network: Network, vehicle: Vehicle, add_ids, requests,
 # -- guided enumeration --------------------------------------------------
 
 
-def _restricted_specs(specs, keep_ids):
-    out = []
-    for s in specs:
-        b = tuple(r for r in s.board if r in keep_ids)
-        a = tuple(r for r in s.alight if r in keep_ids)
-        if b or a:
-            out.append(StopSpec(s.node, b, a))
-    return out
-
-
 def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
                     constraints: Constraints, objective: ObjectiveParams,
                     now: float, pickup_times, incumbents=None) -> list:
@@ -207,10 +192,9 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
 
     candidate_ids are the waiting requests open for reassignment; each
     vehicle's onboard customers are part of every one of its bundles.
-    incumbents maps a vehicle id to its current plan, timed without
-    enforcing the rules; that plan stays an option even when it fails
-    re-validation, so an assignment at least as good as the current one
-    always exists.
+    incumbents maps a vehicle id to its current plan, feasible and timed
+    from now; it is one more option, so an assignment at least as good
+    as the current one always exists.
     """
     min_fac = network.min_factor()
     out = []
@@ -220,11 +204,11 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
                  if _reachable(network, veh, requests[rid], constraints, now, min_fac)]
         found: dict = {}
 
-        def note(add_set, cost, sched, grandfathered=False):
+        def note(add_set, cost, sched):
             key = frozenset(add_set)
             cur = found.get(key)
             if cur is None or cost < cur[0]:
-                found[key] = (cost, sched, grandfathered)
+                found[key] = (cost, sched)
 
         if base:
             got = _best_bundle_order(network, veh, (), requests, pickup_times,
@@ -256,29 +240,18 @@ def enumerate_v2rbs(network: Network, vehicles, requests, candidate_ids,
 
         inc_sched = (incumbents or {}).get(veh.vehicle_id)
         if inc_sched is not None:
-            # current plan survives even if stale; cheaper searched
-            # orders for the same bundle win the tie
-            inc_cost = schedule_cost(inc_sched, objective, requests)
-            inc_add = frozenset(inc_sched.bundle) - base
-            cur = found.get(inc_add)
-            if cur is None or cur[0] > inc_cost:
-                found[inc_add] = (inc_cost, inc_sched, True)
-            if base and frozenset() not in found:
-                only_base = _restricted_specs(inc_sched.stops, base)
-                fb_sched, _ = plan_stop_sequence(
-                    network, veh, only_base, now, requests, pickup_times,
-                    constraints, enforce=False)
-                fb_cost = schedule_cost(fb_sched, objective, requests)
-                found[frozenset()] = (fb_cost, fb_sched, True)
+            # a searched order of the same cost wins the tie
+            note(inc_sched.bundle - base,
+                 schedule_cost(inc_sched, objective, requests), inc_sched)
 
         entries = []
         for add in sorted(found, key=sorted):
             if not add and not base:
                 continue
-            cost, sched, grand = found[add]
+            cost, sched = found[add]
             entries.append(V2RB(
                 vehicle_id=veh.vehicle_id, bundle=base | add, cost=cost,
-                schedule=sched, grandfathered=grand))
+                schedule=sched))
         out.extend(sorted(entries, key=lambda z: z.key()))
     return out
 
@@ -464,9 +437,7 @@ def reoptimize(operator, now: float) -> dict:
     for veh in vehicles:
         if not veh.stops:
             continue
-        sched, _ = plan_stop_sequence(
-            net, veh, veh.stops, now, operator.requests, operator.pickup_times,
-            operator.constraints, enforce=False)
+        sched = operator.current_plan(veh, now)
         incumbents[veh.vehicle_id] = sched
         incumbent_total += schedule_cost(sched, operator.objective,
                                          operator.requests)
@@ -491,10 +462,9 @@ def reoptimize(operator, now: float) -> dict:
                 operator.apply_schedule(veh, None)
                 n_changed += 1
             continue
-        if not pick.grandfathered:
-            confirm_schedule(net, veh, pick.schedule, now, operator.requests,
-                             operator.pickup_times, operator.constraints,
-                             "reoptimization chose")
+        confirm_schedule(net, veh, pick.schedule, now, operator.requests,
+                         operator.pickup_times, operator.constraints,
+                         "reoptimization chose")
         before = [(s.node, s.board, s.alight) for s in veh.stops]
         after = [(s.node, s.board, s.alight) for s in pick.schedule.stops]
         if before != after:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .demand import read_trip_rows, RawTrip, request_time_problem
+from .demand import read_trip_rows, RawTrip, request_time_problem, whole_number
 from .economics import EconParams
 from .game import (CalibrationError, GameConfig, OperatorParams,
                    _validate_calibration, _validate_game)
@@ -115,6 +115,8 @@ def _cast(value, kind, keypath, src):
             if not isinstance(value, bool):
                 raise TypeError
             return value
+        if kind is int:
+            return whole_number(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         src.fail(keypath, f"expected {kind.__name__}, got {value!r}")
@@ -202,10 +204,13 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
     edges = _need(spec, "edges", "network", src)
     if not isinstance(edges, list):
         src.fail("network.edges", "expected a list of [u, v, meters, seconds]")
+    rows = []
     for i, row in enumerate(edges):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             src.fail(f"network.edges[{i}]",
                      "expected [u, v, meters, seconds]")
+        rows.append((*_cast_list(list(row[:2]), int, f"network.edges[{i}]", src),
+                     *row[2:]))
     zones = spec.get("zones")
     if zones is not None:
         if not isinstance(zones, dict):
@@ -228,8 +233,7 @@ def build_network(doc: dict, src: _Source, base_dir: Path) -> Network:
         except NetworkLoadError as exc:
             src.fail("network.profile", str(exc))
     try:
-        return Network(nodes, [tuple(e) for e in edges], zones=zones,
-                       profile=profile)
+        return Network(nodes, rows, zones=zones, profile=profile)
     except Exception as exc:
         src.fail("network", str(exc))
 

@@ -50,6 +50,19 @@ def request_time_problem(t_req_s: float) -> str | None:
     return None
 
 
+def whole_number(value) -> int:
+    """An int, or a float without a fractional part, as an int.
+
+    Counts, ids and node ids pass through here, so a fractional one is
+    refused with ValueError rather than truncated; a bool is refused too.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"not a whole number: {value!r}")
+
+
 def read_trip_rows(path) -> list[RawTrip]:
     """Parse a trip file; raises DemandError naming the offending row.
 
@@ -84,10 +97,10 @@ def read_trip_rows(path) -> list[RawTrip]:
                 f"{path}: row {row_no}: expected id,request_time_s,origin_node,"
                 f"destination_node[,recorded_duration_s], got {len(values)} cells")
         try:
-            tid, origin, dest = int(values[0]), int(values[2]), int(values[3])
-        except (ValueError, OverflowError):
-            raise DemandError(f"{path}: row {row_no}: id and nodes must be "
-                              f"finite numbers, got {line!r}") from None
+            tid, origin, dest = (whole_number(values[k]) for k in (0, 2, 3))
+        except ValueError:
+            raise DemandError(f"{path}: row {row_no}: id and nodes must be finite "
+                              f"numbers without a fraction, got {line!r}") from None
         problem = request_time_problem(values[1])
         if problem:
             raise DemandError(f"{path}: row {row_no}: {problem}")
@@ -120,7 +133,7 @@ def ingest_requests(trips, network: Network, subsample_rate: float = 1.0,
     horizon filter, then one independent uniform draw per surviving row
     (kept iff draw < subsample_rate).  Output is sorted by (time, id).
     Direct distance and time come from a shortest-path query at the
-    request time.
+    request time; the time is that of the direct ride leaving then.
 
     :param trips: an iterable of RawTrip
     """

@@ -1,12 +1,16 @@
 """Road network with piecewise-constant travel-time scaling.
 
 Edge base travel times are multiplied by a global scale factor that is
-constant within each profile interval.  Because the scaling is uniform
-across all edges, the time-minimal path between two nodes is the same in
-every interval; only its travel time changes.  Paths are therefore
-computed once on base times and scaled per query: a network builds one
-shortest-path tree per origin, which gives the base time, the distance
-and the path to every node; memory grows as the node count squared.
+constant within each profile interval.  A trip consumes base time at the
+speed of the interval it is in, so its travel time is integrated across
+boundaries, and leaving later never means arriving earlier.  Since
+arrival grows with base time and the scaling is uniform across all
+edges, the time-minimal path between two nodes is the same at every
+departure time; only its travel time changes.  Paths are therefore
+computed once on base times and integrated per query: a network builds
+one shortest-path tree per origin, which gives the base time, the
+distance and the path to every node; memory grows as the node count
+squared.
 
 Determinism: Dijkstra's times do not depend on the order it scans
 nodes in, and among equal-time paths the returned node sequence is the
@@ -52,6 +56,7 @@ class TravelTimeProfile:
             raise NetworkLoadError("profile interval_s must be positive")
         self.factors = factors
         self.interval_s = float(interval_s)
+        self._last = len(factors) - 1
 
     def factor_at(self, t: float) -> float:
         """Scale factor active at absolute time t (clamped at both ends)."""
@@ -70,18 +75,27 @@ class TravelTimeProfile:
         return (idx + 1) * self.interval_s
 
     def elapsed_for_base(self, start: float, base_tt: float) -> float:
-        """Wall-clock seconds needed to consume base_tt of base travel from start."""
-        t = float(start)
-        rem = float(base_tt)
-        while rem > 0.0:
-            f = self.factor_at(t)
-            need = rem * f
-            nb = self.next_boundary_after(t)
-            if t + need <= nb:
-                return t + need - start
-            rem -= (nb - t) / f
-            t = nb
-        return t - start
+        """Wall-clock seconds needed to consume base_tt of base travel from start.
+
+        This is the one place where a factor scales a base time.  The
+        factor is a speed that changes at each interval boundary, so
+        leaving later never means arriving earlier (Ichoua, Gendreau &
+        Potvin 2003).  A leg that ends in its first interval costs
+        exactly base_tt times that interval's factor.
+        """
+        factors, width, last = self.factors, self.interval_s, self._last
+        i = int(start // width) if start > 0 else 0
+        if i >= last:
+            return base_tt * factors[last]
+        need = base_tt * factors[i]
+        if start + need <= (i + 1) * width:
+            return need
+        t, rem = start, base_tt
+        while i < last and t + rem * factors[i] > (i + 1) * width:
+            end = (i + 1) * width
+            rem -= (end - t) / factors[i]
+            t, i = end, i + 1
+        return t + rem * factors[i] - start
 
     def base_for_elapsed(self, start: float, elapsed: float) -> float:
         """Base travel consumed by elapsed wall-clock seconds from start."""
@@ -233,7 +247,8 @@ class Network:
             raise NoPathError(f"unknown node {e.args[0]}") from None
 
     def shortest_path(self, origin: int, dest: int, query_time_s: float = 0.0) -> PathResult:
-        """Time-minimal path under the scale factor active at query_time_s."""
+        """Time-minimal path, its distance, and its travel time leaving at
+        query_time_s, integrated across factor boundaries."""
         i, j = self._at(origin, dest)
         ids, parents, k = self.node_ids, self._parent[i], j
         nodes = [ids[j]]
@@ -241,12 +256,13 @@ class Network:
             k = parents[k]
             nodes.append(ids[k])
         nodes.reverse()
-        return PathResult(self._tt[i][j] * self.profile.factor_at(query_time_s),
+        return PathResult(self.profile.elapsed_for_base(query_time_s, self._tt[i][j]),
                           self._dist[i][j], tuple(nodes))
 
     def travel_time(self, origin: int, dest: int, query_time_s: float = 0.0) -> float:
+        """Seconds to drive the time-minimal path leaving at query_time_s."""
         i, j = self._at(origin, dest)
-        return self._tt[i][j] * self.profile.factor_at(query_time_s)
+        return self.profile.elapsed_for_base(query_time_s, self._tt[i][j])
 
     def base_travel_time(self, origin: int, dest: int) -> float:
         """Unscaled travel time; with min_factor it lower-bounds any query."""

@@ -149,9 +149,9 @@ def resume_point(vehicle: Vehicle, network: Network, now: float) -> tuple[int, f
 class _Timing:
     """Timing state of a stop sequence after its first ``len(stops)`` stops.
 
-    ``rules`` is (network, requests, pickup_times, constraints, enforce).
-    A state can be copied and extended again, so stops shared by many
-    sequences are timed once.
+    ``rules`` is (network, requests, pickup_times, constraints).  A state
+    can be copied and extended again, so stops shared by many sequences
+    are timed once.
     """
 
     __slots__ = ("rules", "node", "t", "dist", "onboard", "count", "stops",
@@ -173,18 +173,16 @@ class _Timing:
         return new
 
     def broken(self, kind, rid, detail) -> bool:
-        """Keep the first violation; True when rules are enforced."""
-        if self.violation is None:
-            self.violation = Violation(kind, rid, len(self.stops), detail)
-        return self.rules[4]
+        """Record the violation; always False, for ``extend`` to return."""
+        self.violation = Violation(kind, rid, len(self.stops), detail)
+        return False
 
     def extend(self, specs) -> bool:
         """Time specs after the stops so far.
 
-        Returns False at the first broken rule when rules are enforced;
-        the state is then spent.
+        Returns False at the first broken rule; the state is then spent.
         """
-        network, requests, pickup_times, cons, _ = self.rules
+        network, requests, pickup_times, cons = self.rules
         node, t, dist, onboard, count = self.node, self.t, self.dist, self.onboard, self.count
         stops, arrival_by, pickup_by = self.stops, self.arrival_by, self.pickup_by
         for spec in specs:
@@ -195,34 +193,29 @@ class _Timing:
                 node = spec.node
             for rid in spec.alight:
                 if rid not in onboard:
-                    if self.broken("precedence", rid, "alight before board"):
-                        return False
-                else:
-                    onboard.discard(rid)
-                    count -= 1
+                    return self.broken("precedence", rid, "alight before board")
+                onboard.discard(rid)
+                count -= 1
                 arrival_by[rid] = t
-                direct = requests[rid].direct_time_s
                 picked = pickup_times.get(rid, pickup_by.get(rid))
                 if picked is None:
-                    if self.broken("precedence", rid, "no pickup time"):
-                        return False
-                else:
-                    limit = (1.0 + cons.max_detour_rel) * direct
-                    if t - picked > limit and self.broken(
-                            "detour", rid, f"in-vehicle {t - picked:.1f}s > {limit:.1f}s"):
-                        return False
+                    return self.broken("precedence", rid, "no pickup time")
+                limit = (1.0 + cons.max_detour_rel) * requests[rid].direct_time_s
+                if t - picked > limit:
+                    return self.broken("detour", rid,
+                                       f"in-vehicle {t - picked:.1f}s > {limit:.1f}s")
             for rid in spec.board:
-                if rid in onboard and self.broken("precedence", rid, "boarded twice"):
-                    return False
+                if rid in onboard:
+                    return self.broken("precedence", rid, "boarded twice")
                 latest = requests[rid].t_req_s + cons.max_wait_s
-                if t > latest and self.broken("wait", rid, f"pickup {t:.1f}s > {latest:.1f}s"):
-                    return False
+                if t > latest:
+                    return self.broken("wait", rid, f"pickup {t:.1f}s > {latest:.1f}s")
                 onboard.add(rid)
                 count += 1
                 pickup_by[rid] = t
-                if count > cons.capacity and self.broken(
-                        "capacity", rid, f"{count} onboard > {cons.capacity}"):
-                    return False
+                if count > cons.capacity:
+                    return self.broken("capacity", rid,
+                                       f"{count} onboard > {cons.capacity}")
             stops.append(Stop(spec.node, tuple(spec.board), tuple(spec.alight), t))
             if spec.board or spec.alight:
                 t += cons.dwell_s
@@ -230,27 +223,25 @@ class _Timing:
         return True
 
     def schedule(self, vehicle: Vehicle):
-        """(schedule, first violation); no schedule if a rider stays aboard
-        while rules are enforced."""
-        if self.onboard and self.rules[4]:
+        """(schedule, None), or (None, violation) if a rider stays aboard."""
+        if self.onboard:
             return None, Violation("precedence", min(self.onboard), len(self.stops),
                                    "customer never alights")
         bundle = frozenset(vehicle.onboard).union(self.pickup_by)
         return Schedule(vehicle.vehicle_id, self.stops, bundle, self.dist,
-                        self.arrival_by, self.pickup_by), self.violation
+                        self.arrival_by, self.pickup_by), None
 
 
 def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
-                       requests, pickup_times, constraints: Constraints,
-                       enforce: bool = True):
+                       requests, pickup_times, constraints: Constraints):
     """Time a stop sequence from the vehicle's resume point.
 
     This is the one place where the service rules are checked.  Returns
-    (schedule, None) when feasible, else (None, first_violation).  With
-    enforce=False the schedule is always returned with its first
-    violation, if any; offers and reopt cost a vehicle's current plan
-    that way, since its promises were checked when it was booked or
-    chosen and may have gone stale since.
+    (schedule, None) when feasible, else (None, first_violation).  Legs
+    are timed by ``Network.travel_time``, the clock motion drives by, so
+    a vehicle that follows a feasible plan keeps every promise in it, and
+    timing that plan again later, from where motion has taken the
+    vehicle, finds it feasible still.
 
     :param specs: stops with node, board and alight, such as StopSpec or
         a vehicle's own Stop list; arrival times are ignored
@@ -258,7 +249,7 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
     :param pickup_times: actual pickup times for customers already onboard
     """
     node, t = resume_point(vehicle, network, now)
-    state = _Timing((network, requests, pickup_times, constraints, enforce),
+    state = _Timing((network, requests, pickup_times, constraints),
                     node, t, vehicle.onboard)
     if not state.extend(specs):
         return None, state.violation
@@ -367,20 +358,17 @@ class Operator:
                 f"request {request.request_id} offered before its request time")
         deadline = request.t_req_s + self.constraints.max_wait_s
         reqs = {**self.requests, request.request_id: request}
-        rules = (self.network, reqs, self.pickup_times, self.constraints, True)
+        rules = (self.network, reqs, self.pickup_times, self.constraints)
         pick = [StopSpec(request.origin, board=(request.request_id,))]
         drop = [StopSpec(request.destination, alight=(request.request_id,))]
         best = None  # (delta_cost, vehicle_id, schedule, base_dist)
         for veh in self.vehicles:
             node, t_ready = resume_point(veh, self.network, now)
-            if t_ready + self.network.travel_time(node, request.origin, now) > deadline + 1e-9:
+            # FIFO: no insertion picks up earlier than driving straight there
+            if t_ready + self.network.travel_time(node, request.origin, t_ready) > deadline + 1e-9:
                 continue
             base = veh.stops
-            # incumbent cost for the marginal comparison; unenforced because
-            # promises may be stale after a travel-time change
-            base_sched, _ = plan_stop_sequence(
-                self.network, veh, base, now, reqs, self.pickup_times,
-                self.constraints, enforce=False)
+            base_sched = self.current_plan(veh, now)
             base_cost = schedule_cost(base_sched, self.objective, reqs)
             # candidates keep the base order, so a prefix broken before the
             # pickup (head) or the drop-off (mid) rejects every later position
@@ -413,6 +401,18 @@ class Operator:
                      fare_eur=self.fare_eur_per_m * request.direct_distance_m,
                      extra_distance_m=sched.distance_m - base_dist,
                      schedule=sched, state_version=self.state_version)
+
+    def current_plan(self, vehicle: Vehicle, now: float) -> Schedule:
+        """The vehicle's stops timed from now.  Only feasible plans are
+        installed and motion keeps to their times, so a broken rule means
+        corrupt state: raise ConsistencyError."""
+        sched, bad = plan_stop_sequence(self.network, vehicle, vehicle.stops, now,
+                                        self.requests, self.pickup_times,
+                                        self.constraints)
+        if bad is not None:
+            raise ConsistencyError(f"operator {self.op_id} vehicle {vehicle.vehicle_id}: "
+                                   f"booked plan broken at {now}: {bad}")
+        return sched
 
     def book(self, offer: Offer, request: Request, now: float):
         """Commit the offered schedule.  Raises BookingError on stale offers."""

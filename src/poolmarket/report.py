@@ -53,12 +53,20 @@ def compute_rsd(result, operator_id=None) -> float:
     return _rsd(served, driven)[0]
 
 
+# operator tallies that add up to the fleet-wide row's
+_SUMMED = ("fleet_size", "n_served", "served_direct_distance_m",
+           "fleet_distance_m", "sum_planned_wait_s", "sum_planned_detour_rel")
+
+
 def _build_rows(scenario: str, phase: str, stats, n_requests: int,
                 aggregate_n_no: int, horizon_s: float,
                 econ: EconParams):
+    fleet = {key: sum(st[key] for st in stats) for key in _SUMMED}
+    # the aggregate counts requests nobody offered to serve
+    fleet.update(operator="all", n_no_offer=aggregate_n_no)
     rows = []
     flags = []
-    for st in stats:
+    for st in [*stats, fleet]:
         bd = compute_profit(st["served_direct_distance_m"],
                             st["fleet_distance_m"], st["fleet_size"],
                             horizon_s, econ)
@@ -81,29 +89,6 @@ def _build_rows(scenario: str, phase: str, stats, n_requests: int,
             "fleet_km": st["fleet_distance_m"] / 1000.0,
             "n_no_offer": st["n_no_offer"],
         })
-    served_m = sum(st["served_direct_distance_m"] for st in stats)
-    driven_m = sum(st["fleet_distance_m"] for st in stats)
-    n_served = sum(st["n_served"] for st in stats)
-    sum_wait = sum(st["sum_planned_wait_s"] for st in stats)
-    sum_det = sum(st["sum_planned_detour_rel"] for st in stats)
-    fleet_total = sum(st["fleet_size"] for st in stats)
-    bd = compute_profit(served_m, driven_m, fleet_total, horizon_s, econ)
-    p_eff = compute_effective_profit(bd.profit_eur, aggregate_n_no, econ)
-    rsd, degenerate = _rsd(served_m, driven_m)
-    if degenerate:
-        flags.append("rsd-degenerate:operator=all")
-    rows.append({
-        "scenario": scenario, "phase": phase, "operator": "all",
-        "served_frac": (n_served / n_requests) if n_requests else 0.0,
-        "profit_eur": bd.profit_eur,
-        "eff_profit_eur": p_eff,
-        "rsd": rsd,
-        "mean_wait_s": (sum_wait / n_served) if n_served else 0.0,
-        "mean_rel_detour": (sum_det / n_served) if n_served else 0.0,
-        "fleet_km": driven_m / 1000.0,
-        # the aggregate counts requests nobody offered to serve
-        "n_no_offer": aggregate_n_no,
-    })
     return rows, flags
 
 

@@ -6,10 +6,12 @@ boundaries exactly); at each step time the engine then runs, in order:
 rebalancing of idle vehicles at period boundaries, dispatch of every
 request whose time has come, and fleet-wide re-optimization at period
 boundaries.  Requests are answered immediately: quoted, booked or
-refused at their step.  Planned stop times are set when a plan is
-booked or chosen by re-optimization; nothing re-times them when the
-travel-time factor changes, since offers and re-optimization time
-every plan again from the vehicle's state.
+refused at their step.  Plans and motion keep one clock: both take
+their travel times from ``TravelTimeProfile.elapsed_for_base``, so a
+vehicle reaches each stop at the time its plan set, up to rounding, and
+keeps every promise it was booked with.  Offers and re-optimization time
+every plan again from the vehicle's state, and a plan that breaks a rule
+by then raises ConsistencyError.
 
 Everything that happens is appended to an event list; the fingerprint
 over that list is the determinism contract used by the tests.

@@ -21,6 +21,7 @@ from poolmarket.assign import (
 from poolmarket.demand import Request
 from poolmarket.network import TravelTimeProfile
 from poolmarket.operators import (
+    ConsistencyError,
     Constraints,
     ObjectiveParams,
     Operator,
@@ -320,18 +321,20 @@ def test_reoptimize_never_worse_than_booked_plan():
     assert held == set(booked)
 
 
-def test_reoptimize_keeps_promise_after_slowdown(line10):
+def test_plan_broken_behind_the_clock_is_a_consistency_error(line10):
     op = make_operator(line10, [0])
     r = req(1, 0.0, 6, 9, line10)
     offer = op.insertion_offer(r, 0.0)
     assert offer is not None and offer.wait_s == pytest.approx(300.0)
     op.book(offer, r, 0.0)
 
-    line10.profile = TravelTimeProfile((2.0,))   # pickup drifts to 600 s
-    summary = reoptimize(op, 60.0)
-    assert summary["optimized_cost"] == summary["incumbent_cost"]
-    assert op.vehicles[0].bundle() == frozenset({1})
-    assert op.scheduled_ids == {1}
+    # swapping the profile after booking moves the pickup to 600 s, past
+    # the 360 s promise; no run does this, so both paths refuse the plan
+    line10.profile = TravelTimeProfile((2.0,))
+    with pytest.raises(ConsistencyError, match="vehicle 0.*wait"):
+        reoptimize(op, 60.0)
+    with pytest.raises(ConsistencyError, match="vehicle 0.*wait"):
+        op.insertion_offer(req(2, 60.0, 1, 3, line10), 60.0)
 
 
 # -- determinism -------------------------------------------------------

@@ -86,6 +86,15 @@ def _one_line_error(err, path, keypath):
      lambda t: t.replace("- fleet_size: 1", "- fleet_size: abc"), "abc"),
     ("operators[0].fleet_size",
      lambda t: t.replace("- fleet_size: 1", "- fleet_size: .inf"), ".inf"),
+    # counts and ids are refused, not truncated, when they have a fraction
+    ("operators[0].fleet_size",
+     lambda t: t.replace("- fleet_size: 1", "- fleet_size: 1.9"), "1.9"),
+    ("operators[0].fleet_size",
+     lambda t: t.replace("- fleet_size: 1", "- fleet_size: true"), "true"),
+    ("demand.trips[0]",
+     lambda t: t.replace("- [1, 0.0, 1, 4]", "- [1.7, 0.0, 1.9, 4.2]"), "1.7"),
+    ("network.edges[2][1]",
+     lambda t: t.replace("- [1, 2, 500.0, 50.0]", "- [1, 2.5, 500.0, 50.0]"), "2.5"),
     ("operators[0].assignment_reward_eur",
      lambda t: t.replace("    start_nodes: [0]\n", "    start_nodes: [0]\n"
                          "    assignment_reward_eur: lots\n"), "lots"),
@@ -375,6 +384,7 @@ def test_bad_inline_request_time_exits_two_naming_its_row(tmp_path, capsys, t):
     (b"2,inf,2,5", "row 3: request time must be finite and >= 0, got inf"),
     (b"2,-5,2,5", "row 3: request time must be finite and >= 0, got -5.0"),
     (b"nan,0,2,5", "row 3: id and nodes must be finite numbers"),
+    (b"1.7,0.0,1.9,4.2", "row 3: id and nodes must be finite numbers without a fraction"),
     (b"2,0,2,\xff\xfe", "not UTF-8 text"),
 ])
 def test_bad_trips_file_exits_two_naming_the_file(tmp_path, capsys, row,
@@ -390,6 +400,20 @@ def test_bad_trips_file_exits_two_naming_the_file(tmp_path, capsys, row,
         assert err.startswith(f"error: {trips}: ") and problem in err, err
         assert err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
+
+
+def test_whole_floats_count_as_ints(tmp_path):
+    p = tmp_path / "cfg.yaml"
+    p.write_text(line_config(demand="demand: {trips_file: trips.csv}\n").replace(
+        "- fleet_size: 1", "- fleet_size: 1.0"))
+    (tmp_path / "trips.csv").write_text("id,t,o,d\n1.0,0.5,1.0,4\n")
+    doc, src = load_file(p)
+    cfg = build_simulation(doc, src, tmp_path)
+    assert cfg.operators[0].fleet_size == 1
+    (trip,) = cfg.trips
+    assert (trip.trip_id, trip.t_req_s, trip.origin, trip.destination) == (1, 0.5, 1, 4)
+    assert all(type(v) is int for v in (cfg.operators[0].fleet_size, trip.trip_id,
+                                        trip.origin, trip.destination))
 
 
 def test_simulate_writes_the_advertised_files(cfg_path, tmp_path):

@@ -17,11 +17,12 @@ from conftest import make_grid_network
 
 GOLDEN = {
     "single": "3940a81417a372ad304bf4bda5465b9ad6d4eee90cb412092a9251efba6ad54d",
-    "user_decision": "5d362ba9fb51fa5bb311f56cfb5f8f53cb12a244ba6e39ecdf691bd35b89cebe",
+    "user_decision": "af0584d0943420fbf5a317b6696efa483c8a513ada535f6ee2cc416d0f15143f",
     "broker_decision": "11c8b449792e262838c655040728288ccb1ae2aa4fcda6f28579a2f811bd795b",
-    "independent": "35a5d06cfd0e225a48c41fbd36e1cd74e12b6d3d892c53fa54a94ed41f404ff0",
+    "independent": "eeab18b8d3d89432591fc1e3e8013181489f3b2fa6f8b11638a8061db71c46a8",
 }
-# runs under a travel-time factor change at 600 s, mid-route for some rides
+# runs under a travel-time factor change at 600 s, mid-route for some
+# rides, so planned and driven legs are integrated across it
 PROFILED = {"user_decision", "independent"}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,81 @@ def test_elapsed_for_base_splits_intervals():
     assert prof.elapsed_for_base(870.0, 100.0) == pytest.approx(30.0 + 140.0)
     assert prof.elapsed_for_base(0.0, 100.0) == pytest.approx(100.0)
     assert prof.elapsed_for_base(900.0, 100.0) == pytest.approx(200.0)
+
+
+@st.composite
+def profiles_and_trips(draw):
+    """A stepped profile, a start time up to two intervals past its last
+    factor, and an amount of base travel."""
+    factors = draw(st.lists(st.sampled_from((0.5, 0.9, 1.0, 1.2, 1.3, 2.0, 3.5)),
+                            min_size=1, max_size=5))
+    width = draw(st.sampled_from((7.0, 100.0, 150.0, 450.0, 900.0)))
+    prof = TravelTimeProfile(factors, width)
+    start = draw(st.floats(0.0, width * (len(factors) + 2)))
+    base = draw(st.floats(0.0, 5.0 * width))
+    return prof, start, base
+
+
+def integrated_arrival(prof, start, base):
+    """Exact arrival from start after base seconds of base travel."""
+    t, rem = Fraction(start), Fraction(base)
+    i = int(t // Fraction(prof.interval_s))
+    while True:
+        f = Fraction(prof.factors[min(i, len(prof.factors) - 1)])
+        end = (i + 1) * Fraction(prof.interval_s)
+        if i >= len(prof.factors) - 1 or t + rem * f <= end:
+            return t + rem * f
+        rem -= (end - t) / f
+        t, i = end, i + 1
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(trip=profiles_and_trips(), later=st.floats(0.0, 1000.0))
+def test_elapsed_for_base_is_fifo(trip, later):
+    # leaving later never means arriving earlier; rounding may cost ulps
+    prof, start, base = trip
+    arrive = start + prof.elapsed_for_base(start, base)
+    assert close(arrive, float(integrated_arrival(prof, start, base)))
+    start2 = start + later
+    arrive2 = start2 + prof.elapsed_for_base(start2, base)
+    assert arrive2 >= arrive or close(arrive2, arrive)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(trip=profiles_and_trips())
+def test_elapsed_for_base_within_one_interval_is_one_product(trip):
+    prof, start, base = trip
+    i = int(start // prof.interval_s)
+    if i >= len(prof.factors) - 1:
+        # at or beyond the last factor it holds for good
+        assert prof.elapsed_for_base(start, base) == base * prof.factors[-1]
+    elif start + base * prof.factors[i] <= (i + 1) * prof.interval_s:
+        assert prof.elapsed_for_base(start, base) == base * prof.factors[i]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(trip=profiles_and_trips(), k=st.integers(0, 6))
+def test_elapsed_for_base_from_a_boundary_uses_the_new_factor(trip, k):
+    prof, _, base = trip
+    start = k * prof.interval_s
+    f = prof.factors[min(k, len(prof.factors) - 1)]
+    assert prof.elapsed_for_base(start, 1e-3) == 1e-3 * f
+    assert close(start + prof.elapsed_for_base(start, base),
+                 float(integrated_arrival(prof, start, base)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(trip=profiles_and_trips(), share=st.floats(0.0, 1.0))
+def test_elapsed_for_base_splits_anywhere(trip, share):
+    prof, start, base = trip
+    first = base * share
+    mid = start + prof.elapsed_for_base(start, first)
+    end = mid + prof.elapsed_for_base(mid, base - first)
+    assert close(end, start + prof.elapsed_for_base(start, base))
 
 
 def test_zone_centroids_deterministic():

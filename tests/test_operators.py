@@ -352,12 +352,12 @@ def reference_offer(op, request, now):
     best = None
     for veh in op.vehicles:
         node, t_ready = resume_point(veh, op.network, now)
-        if t_ready + op.network.travel_time(node, request.origin, now) > deadline + 1e-9:
+        if t_ready + op.network.travel_time(node, request.origin, t_ready) > deadline + 1e-9:
             continue
         base = veh.stops
-        base_sched, _ = plan_stop_sequence(op.network, veh, base, now, reqs,
-                                           op.pickup_times, op.constraints,
-                                           enforce=False)
+        base_sched, bad = plan_stop_sequence(op.network, veh, base, now, reqs,
+                                             op.pickup_times, op.constraints)
+        assert bad is None
         base_cost = schedule_cost(base_sched, op.objective, reqs)
         for p_pos in range(len(base) + 1):
             for d_pos in range(p_pos, len(base) + 1):
@@ -374,7 +374,11 @@ def reference_offer(op, request, now):
 
 def booked_world(seed):
     """Operator with 2-3 vehicles holding booked stops, riders onboard and
-    one vehicle partway along an edge, under a time-varying profile."""
+    one vehicle partway along an edge, under a time-varying profile.
+
+    Everything is booked at the returned time, and no vehicle moves
+    after that, so every booked plan still holds then.
+    """
     rng = random.Random(seed)
     cols = 6
     profile = TravelTimeProfile((1.0, 1.3, 0.9, 1.2, 1.1), interval_s=150.0)
@@ -383,32 +387,35 @@ def booked_world(seed):
                        max_detour_rel=1.0, dwell_s=rng.choice((10.0, 30.0)))
     nodes = list(net.node_ids)
     op = make_operator(net, rng.sample(nodes, rng.choice((2, 3))), constraints=cons)
+    now = 40.0 + 20.0 * rng.randrange(6)
+    veh = op.vehicles[rng.randrange(len(op.vehicles))]
+    prev = veh.node + 1 if veh.node % cols < cols - 1 else veh.node - 1
+    veh.edge, veh.edge_remaining_tt_base, veh.edge_remaining_m = (prev, veh.node), 25.0, 250.0
     for rid in range(rng.randint(4, 9)):
-        r = req(rid, 0.0, *rng.sample(nodes, 2), net)
-        offer = op.insertion_offer(r, 0.0)
+        r = req(rid, now, *rng.sample(nodes, 2), net)
+        offer = op.insertion_offer(r, now)
         if offer is not None:
-            op.book(offer, r, 0.0)
-    for veh in op.vehicles:  # riders of a first pickup stop are aboard
+            op.book(offer, r, now)
+    # riders of a first pickup stop are aboard, and the vehicle dwells
+    # there until the plan leaves it
+    for veh in op.vehicles:
         first = veh.stops[0] if veh.stops else None
         if first is not None and first.board and not first.alight and rng.random() < 0.7:
-            veh.node, veh.stops = first.node, veh.stops[1:]
+            veh.node, veh.stops, veh.edge = first.node, veh.stops[1:], None
+            veh.busy_until = first.arrival_s + cons.dwell_s
             veh.onboard |= set(first.board)
             for rid in first.board:
                 op.pickup_times[rid] = first.arrival_s
                 op.scheduled_ids.discard(rid)
-    veh = op.vehicles[rng.randrange(len(op.vehicles))]
-    prev = veh.node + 1 if veh.node % cols < cols - 1 else veh.node - 1
-    veh.edge, veh.edge_remaining_tt_base, veh.edge_remaining_m = (prev, veh.node), 25.0, 250.0
-    return op, rng, nodes
+    return op, rng, nodes, now
 
 
 def test_insertion_offer_equals_timing_each_candidate_alone():
     offers = long_bases = 0
     for seed in range(40):
-        op, rng, nodes = booked_world(seed)
+        op, rng, nodes, now = booked_world(seed)
         long_bases += any(len(v.stops) >= 4 and v.onboard for v in op.vehicles)
         for k in range(6):
-            now = 40.0 + 20.0 * k
             r = req(100 + k, now, *rng.sample(nodes, 2), op.network)
             offer = op.insertion_offer(r, now)
             expected = reference_offer(op, r, now)
@@ -424,6 +431,24 @@ def test_insertion_offer_equals_timing_each_candidate_alone():
             offers += 1
     assert offers >= 100
     assert long_bases >= 10
+
+
+def test_prefilter_times_the_approach_from_when_it_starts():
+    # 50 s edges at factor 2 before 100 s, at 1 after.  Leaving node 0 at
+    # 90 s, the vehicle reaches 5 at 345 s; timing the whole approach at
+    # the factor in effect at 90 s would give 590 s, past the 450 s
+    # deadline, and drop the only feasible insertion
+    net = make_line_network(10, profile=TravelTimeProfile((2.0, 1.0), interval_s=100.0))
+    op = make_operator(net, [0])
+    r1 = req(1, 90.0, 1, 9, net)
+    op.book(op.insertion_offer(r1, 90.0), r1, 90.0)
+    r2 = req(2, 90.0, 5, 8, net)
+    offer = op.insertion_offer(r2, 90.0)
+    assert offer is not None and offer.wait_s == 255.0
+    vid, sched, _ = reference_offer(op, r2, 90.0)
+    assert (offer.vehicle_id, offer.schedule) == (vid, sched)
+    assert [(s.node, s.board, s.alight) for s in sched.stops] == [
+        (1, (1,), ()), (5, (2,), ()), (8, (), (2,)), (9, (), (1,))]
 
 
 def test_booking_applies_offered_schedule(line10):

@@ -48,8 +48,13 @@ def test_single_request_served_end_to_end():
     assert res.outcomes[1]["wait_s"] == pytest.approx(210.0)
 
 
-def test_realized_times_respect_promises():
-    net = make_grid_network(4, 5)
+@pytest.mark.parametrize("profile", [
+    None,
+    # rides cross the boundaries; booked pickups and rides must still hold
+    TravelTimeProfile((1.0, 1.3, 0.9, 1.2), interval_s=150.0),
+], ids=["constant", "stepped"])
+def test_realized_times_respect_promises(profile):
+    net = make_grid_network(4, 5, profile=profile)
     cfg = SimulationConfig(
         network=net, scenario="user_decision", horizon_s=1800.0,
         operators=[OperatorConfig(2), OperatorConfig(2)],
@@ -140,7 +145,7 @@ def test_late_requests_expire_unprocessed():
     assert res.operator_stats[0]["n_no_offer"] == 0
 
 
-def test_slowdown_stretches_realized_ride():
+def test_ride_across_slowdown_alights_as_booked():
     profile = TravelTimeProfile((1.0, 2.0), interval_s=900.0)
     net = make_line_network(10, profile=profile)
     # picked up before the change, dropped off after it
@@ -150,7 +155,9 @@ def test_slowdown_stretches_realized_ride():
     out = res.outcomes[1]
     assert out["operator"] == 0
     alight = events_of(res, "alight")[0]
-    assert alight["time"] > out["arrival_s"] + 1.0
+    # booked at 780 s: 50 s to the origin, then 70 s of base travel before
+    # 900 s and the remaining 130 s at factor 2
+    assert alight["time"] == out["arrival_s"] == 1160.0
     assert res.operator_stats[0]["n_completed"] == 1
 
 
