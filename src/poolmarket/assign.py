@@ -131,8 +131,8 @@ def _best_bundle_order(network: Network, vehicle: Vehicle, add_ids, requests,
                     continue
                 nxt = dest[rid]
             if nxt != node:
-                t2 = t + network.travel_time(node, nxt, t)
-                dist2 = dist + network.distance(node, nxt)
+                leg_tt, leg_m = network.leg(node, nxt, t)
+                t2, dist2 = t + leg_tt, dist + leg_m
             else:
                 t2, dist2 = t, dist
             if kind == 0:

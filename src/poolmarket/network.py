@@ -264,6 +264,11 @@ class Network:
         i, j = self._at(origin, dest)
         return self.profile.elapsed_for_base(query_time_s, self._tt[i][j])
 
+    def leg(self, origin: int, dest: int, query_time_s: float) -> tuple[float, float]:
+        """``(travel_time, distance)`` of one leg, with one node lookup."""
+        i, j = self._at(origin, dest)
+        return self.profile.elapsed_for_base(query_time_s, self._tt[i][j]), self._dist[i][j]
+
     def base_travel_time(self, origin: int, dest: int) -> float:
         """Unscaled travel time; with min_factor it lower-bounds any query."""
         i, j = self._at(origin, dest)

@@ -131,6 +131,10 @@ class Vehicle:
         return frozenset(ids)
 
 
+# a FIFO early exit in insertion_offer needs a rule broken by more than this
+_FIFO_MARGIN_S = 1e-6
+
+
 def resume_point(vehicle: Vehicle, network: Network, now: float) -> tuple[int, float]:
     """Node and absolute time from which new legs can start.
 
@@ -172,49 +176,52 @@ class _Timing:
         new.violation = self.violation
         return new
 
-    def broken(self, kind, rid, detail) -> bool:
-        """Record the violation; always False, for ``extend`` to return."""
+    def broken(self, kind, rid, t, detail) -> bool:
+        """Record the violation and the time ``t`` of the stop that broke
+        it; always False, for ``extend`` to return."""
         self.violation = Violation(kind, rid, len(self.stops), detail)
+        self.t = t
         return False
 
     def extend(self, specs) -> bool:
         """Time specs after the stops so far.
 
-        Returns False at the first broken rule; the state is then spent.
+        Returns False at the first broken rule; the state is then spent,
+        except that ``t`` holds the time of the stop that broke the rule.
         """
         network, requests, pickup_times, cons = self.rules
         node, t, dist, onboard, count = self.node, self.t, self.dist, self.onboard, self.count
         stops, arrival_by, pickup_by = self.stops, self.arrival_by, self.pickup_by
         for spec in specs:
             if spec.node != node:
-                leg_tt = network.travel_time(node, spec.node, t)
-                dist += network.distance(node, spec.node)
+                leg_tt, leg_m = network.leg(node, spec.node, t)
+                dist += leg_m
                 t = t + leg_tt
                 node = spec.node
             for rid in spec.alight:
                 if rid not in onboard:
-                    return self.broken("precedence", rid, "alight before board")
+                    return self.broken("precedence", rid, t, "alight before board")
                 onboard.discard(rid)
                 count -= 1
                 arrival_by[rid] = t
                 picked = pickup_times.get(rid, pickup_by.get(rid))
                 if picked is None:
-                    return self.broken("precedence", rid, "no pickup time")
+                    return self.broken("precedence", rid, t, "no pickup time")
                 limit = (1.0 + cons.max_detour_rel) * requests[rid].direct_time_s
                 if t - picked > limit:
-                    return self.broken("detour", rid,
+                    return self.broken("detour", rid, t,
                                        f"in-vehicle {t - picked:.1f}s > {limit:.1f}s")
             for rid in spec.board:
                 if rid in onboard:
-                    return self.broken("precedence", rid, "boarded twice")
+                    return self.broken("precedence", rid, t, "boarded twice")
                 latest = requests[rid].t_req_s + cons.max_wait_s
                 if t > latest:
-                    return self.broken("wait", rid, f"pickup {t:.1f}s > {latest:.1f}s")
+                    return self.broken("wait", rid, t, f"pickup {t:.1f}s > {latest:.1f}s")
                 onboard.add(rid)
                 count += 1
                 pickup_by[rid] = t
                 if count > cons.capacity:
-                    return self.broken("capacity", rid,
+                    return self.broken("capacity", rid, t,
                                        f"{count} onboard > {cons.capacity}")
             stops.append(Stop(spec.node, tuple(spec.board), tuple(spec.alight), t))
             if spec.board or spec.alight:
@@ -238,7 +245,7 @@ def plan_stop_sequence(network: Network, vehicle: Vehicle, specs, now: float,
 
     This is the one place where the service rules are checked.  Returns
     (schedule, None) when feasible, else (None, first_violation).  Legs
-    are timed by ``Network.travel_time``, the clock motion drives by, so
+    are timed by ``Network.leg``, on the clock motion drives by, so
     a vehicle that follows a feasible plan keeps every promise in it, and
     timing that plan again later, from where motion has taken the
     vehicle, finds it feasible still.
@@ -334,6 +341,8 @@ class Operator:
         self.completed_ids: set[int] = set()
         self.n_no_offer = 0
         self.state_version = 0
+        # vehicle id -> (state key, base plan entry); see _base_plan
+        self._base_plans: dict = {}
 
     def fleet_distance_m(self) -> float:
         return sum(v.odometer_m for v in self.vehicles)
@@ -351,16 +360,30 @@ class Operator:
 
         Scans only vehicles that could reach the origin before the wait
         deadline, keeps existing stop order, and minimizes the marginal
-        cost against the vehicle's current schedule.
+        cost against the vehicle's current schedule; among equal costs
+        the first candidate in scan order wins.
+
+        Each vehicle's current plan, its cost and the timing state before
+        each of its stops are reused from ``_base_plan``.  Travel times
+        are FIFO, dwell is never negative and base times obey the
+        triangle inequality, so a pickup that breaks the new rider's wait
+        rule rejects every later pickup position, and a drop-off that
+        breaks the rider's detour rule every later drop-off position.
+        Those exits are taken only when the rule is broken by more than
+        ``_FIFO_MARGIN_S``, so float rounding cannot drop a candidate,
+        and every other candidate is timed in full.
         """
         if request.t_req_s > now + 1e-9:
             raise ConsistencyError(
                 f"request {request.request_id} offered before its request time")
-        deadline = request.t_req_s + self.constraints.max_wait_s
-        reqs = {**self.requests, request.request_id: request}
-        rules = (self.network, reqs, self.pickup_times, self.constraints)
-        pick = [StopSpec(request.origin, board=(request.request_id,))]
-        drop = [StopSpec(request.destination, alight=(request.request_id,))]
+        rid = request.request_id
+        cons = self.constraints
+        deadline = request.t_req_s + cons.max_wait_s
+        ride_limit = (1.0 + cons.max_detour_rel) * request.direct_time_s
+        reqs = {**self.requests, rid: request}
+        rules = (self.network, reqs, self.pickup_times, cons)
+        pick = [StopSpec(request.origin, board=(rid,))]
+        drop = [StopSpec(request.destination, alight=(rid,))]
         best = None  # (delta_cost, vehicle_id, schedule, base_dist)
         for veh in self.vehicles:
             node, t_ready = resume_point(veh, self.network, now)
@@ -368,22 +391,26 @@ class Operator:
             if t_ready + self.network.travel_time(node, request.origin, t_ready) > deadline + 1e-9:
                 continue
             base = veh.stops
-            base_sched = self.current_plan(veh, now)
-            base_cost = schedule_cost(base_sched, self.objective, reqs)
-            # candidates keep the base order, so a prefix broken before the
-            # pickup (head) or the drop-off (mid) rejects every later position
-            head = _Timing(rules, node, t_ready, veh.onboard)
-            for p_pos in range(len(base) + 1):
-                if p_pos and not head.extend(base[p_pos - 1:p_pos]):
-                    break
+            base_sched, base_cost, heads = self._base_plan(veh, now, node, t_ready)
+            # candidates keep the base order, so a prefix broken after the
+            # pickup (mid) rejects every later drop-off position
+            for p_pos, head in enumerate(heads):
                 mid = head.copy()
+                mid.rules = rules
                 if not mid.extend(pick):
+                    if mid.violation.kind == "wait" and mid.t - deadline > _FIFO_MARGIN_S:
+                        break
                     continue
+                picked = mid.pickup_by[rid]
                 for d_pos in range(p_pos, len(base) + 1):
                     if d_pos > p_pos and not mid.extend(base[d_pos - 1:d_pos]):
                         break
                     cand = mid.copy()
                     if not cand.extend(drop + base[d_pos:]):
+                        bad = cand.violation
+                        if (bad.kind == "detour" and bad.request_id == rid
+                                and cand.t - picked - ride_limit > _FIFO_MARGIN_S):
+                            break
                         continue
                     sched, violation = cand.schedule(veh)
                     if violation is not None:
@@ -394,7 +421,6 @@ class Operator:
         if best is None:
             return None
         _, vid, sched, base_dist = best
-        rid = request.request_id
         return Offer(self.op_id, rid, vid,
                      wait_s=sched.pickup_by_request[rid] - request.t_req_s,
                      arrival_s=sched.arrival_by_request[rid],
@@ -402,13 +428,51 @@ class Operator:
                      extra_distance_m=sched.distance_m - base_dist,
                      schedule=sched, state_version=self.state_version)
 
-    def current_plan(self, vehicle: Vehicle, now: float) -> Schedule:
+    def _base_plan(self, vehicle: Vehicle, now: float, node: int, t_ready: float):
+        """(current plan, its cost, timing state before each stop and after
+        the last), timed once per vehicle state.
+
+        The entry is keyed on everything its timing reads that can change:
+        the resume point and the vehicle's stops and riders aboard.  So it
+        is reused across requests and steps while that state holds, and
+        re-timed after motion, a booking, a reoptimization or any direct
+        change to the vehicle, with no call to invalidate it.  What the key
+        leaves out is fixed while it holds: a booked or aboard rider's
+        request and pickup time, the constraints, the objective, and the
+        network and its profile, which must not change during an
+        Operator's lifetime.
+        """
+        key = (node, t_ready, tuple(vehicle.stops), frozenset(vehicle.onboard))
+        hit = self._base_plans.get(vehicle.vehicle_id)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        heads: list[_Timing] = []
+        sched = self.current_plan(vehicle, now, heads)
+        entry = (sched, schedule_cost(sched, self.objective, self.requests), heads)
+        self._base_plans[vehicle.vehicle_id] = (key, entry)
+        return entry
+
+    def current_plan(self, vehicle: Vehicle, now: float, heads=None) -> Schedule:
         """The vehicle's stops timed from now.  Only feasible plans are
         installed and motion keeps to their times, so a broken rule means
-        corrupt state: raise ConsistencyError."""
-        sched, bad = plan_stop_sequence(self.network, vehicle, vehicle.stops, now,
-                                        self.requests, self.pickup_times,
-                                        self.constraints)
+        corrupt state: raise ConsistencyError.
+
+        :param heads: if a list, receives the timing state before each
+            stop and after the last one
+        """
+        node, t = resume_point(vehicle, self.network, now)
+        state = _Timing((self.network, self.requests, self.pickup_times, self.constraints),
+                        node, t, vehicle.onboard)
+        for stop in vehicle.stops:
+            if heads is not None:
+                heads.append(state.copy())
+            if not state.extend((stop,)):
+                sched, bad = None, state.violation
+                break
+        else:
+            if heads is not None:
+                heads.append(state.copy())
+            sched, bad = state.schedule(vehicle)
         if bad is not None:
             raise ConsistencyError(f"operator {self.op_id} vehicle {vehicle.vehicle_id}: "
                                    f"booked plan broken at {now}: {bad}")

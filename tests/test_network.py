@@ -134,6 +134,34 @@ def test_every_pair_takes_the_smallest_time_minimal_path(net):
             assert net.base_travel_time(o, d) == pytest.approx(best, abs=1e-9)
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(net=tie_heavy_networks(), start=st.floats(0.0, 2.0))
+def test_leg_is_travel_time_and_distance(net, start):
+    # 0.15 s intervals against 0.1-0.3 s edges: most legs cross boundaries
+    net.profile = TravelTimeProfile((3.0, 0.4, 2.0, 1.1), 0.15)
+    for o in net.node_ids:
+        for d in net.node_ids:
+            leg = net.leg(o, d, start)
+            assert repr(leg) == repr((net.travel_time(o, d, start), net.distance(o, d)))
+            assert all(type(x) is float for x in leg)
+
+
+def test_leg_on_tie_grids_and_unknown_nodes(line10):
+    for seed in range(4):
+        net = make_tie_grid(seed)
+        # 0.5 s intervals against 0.1-0.4 s edges
+        net.profile = TravelTimeProfile((3.0, 0.4, 2.0), 0.5)
+        for o in net.node_ids:
+            for d in net.node_ids:
+                for t in (0.0, 0.3, 0.7, 2.0):
+                    assert repr(net.leg(o, d, t)) == repr(
+                        (net.travel_time(o, d, t), net.distance(o, d)))
+    with pytest.raises(NoPathError, match="unknown node 77"):
+        line10.leg(0, 77, 0.0)
+    with pytest.raises(NoPathError, match="unknown node 88"):
+        line10.leg(88, 3, 0.0)
+
+
 def test_tie_break_smallest_next_node():
     # two equal-time routes 0->1->3 and 0->2->3; must take node 1
     nodes = {0: (0.0, 0.0), 1: (1.0, 1.0), 2: (1.0, -1.0), 3: (2.0, 0.0)}

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poolmarket import operators
 from poolmarket.demand import Request
 from poolmarket.network import TravelTimeProfile
 from poolmarket.operators import (
@@ -372,19 +377,21 @@ def reference_offer(op, request, now):
     return None if best is None else best[1:]
 
 
-def booked_world(seed):
+def booked_world(seed, profile=None, cons=None):
     """Operator with 2-3 vehicles holding booked stops, riders onboard and
     one vehicle partway along an edge, under a time-varying profile.
 
     Everything is booked at the returned time, and no vehicle moves
-    after that, so every booked plan still holds then.
+    after that, so every booked plan still holds then.  Without a
+    profile or constraints, the seed draws them.
     """
     rng = random.Random(seed)
     cols = 6
-    profile = TravelTimeProfile((1.0, 1.3, 0.9, 1.2, 1.1), interval_s=150.0)
+    profile = profile or TravelTimeProfile((1.0, 1.3, 0.9, 1.2, 1.1), interval_s=150.0)
     net = make_grid_network(cols, cols, spacing_m=400.0, profile=profile)
-    cons = Constraints(capacity=rng.choice((2, 4)), max_wait_s=600.0,
-                       max_detour_rel=1.0, dwell_s=rng.choice((10.0, 30.0)))
+    drawn = Constraints(capacity=rng.choice((2, 4)), max_wait_s=600.0,
+                        max_detour_rel=1.0, dwell_s=rng.choice((10.0, 30.0)))
+    cons = cons or drawn
     nodes = list(net.node_ids)
     op = make_operator(net, rng.sample(nodes, rng.choice((2, 3))), constraints=cons)
     now = 40.0 + 20.0 * rng.randrange(6)
@@ -431,6 +438,103 @@ def test_insertion_offer_equals_timing_each_candidate_alone():
             offers += 1
     assert offers >= 100
     assert long_bases >= 10
+
+
+def scanned_offer(op, request, now):
+    """The offer, and how many pickups and drop-offs of the request the
+    scan timed."""
+    scanned = {"pick": 0, "drop": 0}
+    extend = operators._Timing.extend
+
+    def counting(state, specs):
+        first = specs[0] if specs else None
+        if first is not None and request.request_id in first.board:
+            scanned["pick"] += 1
+        if first is not None and request.request_id in first.alight:
+            scanned["drop"] += 1
+        return extend(state, specs)
+
+    with mock.patch.object(operators._Timing, "extend", counting):
+        return op.insertion_offer(request, now), scanned
+
+
+STEEP_PROFILES = ((3.0, 0.4, 2.0), (0.4, 3.0, 1.0), (2.5, 0.5, 2.5, 0.5))
+
+
+def test_insertion_offer_equals_reference_under_steep_profiles():
+    """Offers equal the plain scan where speed jumps steeply, and both
+    FIFO early exits fire: switched off, the scan times more pickups
+    (the wait exit) and more drop-offs (the detour exit)."""
+    fired = {"wait": 0, "detour": 0}
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), factors=st.sampled_from(STEEP_PROFILES),
+           interval_s=st.sampled_from((60.0, 150.0)), dwell_s=st.sampled_from((0.0, 30.0)),
+           capacity=st.sampled_from((2, 4)), detour=st.sampled_from((0.3, 1.0)))
+    def check(seed, factors, interval_s, dwell_s, capacity, detour):
+        cons = Constraints(capacity=capacity, max_wait_s=300.0,
+                           max_detour_rel=detour, dwell_s=dwell_s)
+        op, rng, nodes, now = booked_world(seed, TravelTimeProfile(factors, interval_s), cons)
+        for k in range(4):
+            r = req(100 + k, now, *rng.sample(nodes, 2), op.network)
+            offer, scanned = scanned_offer(op, r, now)
+            with mock.patch.object(operators, "_FIFO_MARGIN_S", math.inf):
+                unpruned, scanned_all = scanned_offer(op, r, now)
+            assert offer == unpruned
+            fired["wait"] += scanned["pick"] < scanned_all["pick"]
+            fired["detour"] += scanned["drop"] < scanned_all["drop"]
+            expected = reference_offer(op, r, now)
+            if expected is None:
+                assert offer is None
+                continue
+            vid, sched, base_dist = expected
+            assert (offer.vehicle_id, offer.schedule) == (vid, sched)
+            assert offer.extra_distance_m == sched.distance_m - base_dist
+
+    check()
+    assert fired["wait"] >= 10 and fired["detour"] >= 10
+
+
+def test_offers_time_each_vehicle_state_once():
+    net = make_grid_network(5, 5, spacing_m=400.0)
+    op = make_operator(net, [0, 12, 24])
+    nodes = list(net.node_ids)
+    rng = random.Random(5)
+    for rid in range(4):
+        r = req(rid, 0.0, *rng.sample(nodes, 2), net)
+        op.book(op.insertion_offer(r, 0.0), r, 0.0)
+    timed = []
+    plan = Operator.current_plan
+
+    def counting(self, vehicle, now, heads=None):
+        timed.append(vehicle.vehicle_id)
+        return plan(self, vehicle, now, heads)
+
+    asks = [req(10 + k, 30.0, *rng.sample(nodes, 2), net) for k in range(5)]
+    with mock.patch.object(Operator, "current_plan", counting):
+        offers = [op.insertion_offer(r, 30.0) for r in asks]
+        assert sorted(timed) == [0, 1, 2]
+        timed.clear()
+        assert [op.insertion_offer(r, 30.0) for r in asks] == offers
+        assert timed == []
+        # a booking changes one vehicle; only that one is timed again
+        op.book(offers[0], asks[0], 30.0)
+        for r in asks[1:]:
+            op.insertion_offer(r, 30.0)
+        assert timed == [offers[0].vehicle_id]
+        # so does a plan installed by hand, or a vehicle moved by hand
+        timed.clear()
+        bare = next(v for v in op.vehicles if v.stops)
+        op.apply_schedule(bare, None)
+        op.insertion_offer(asks[1], 30.0)
+        bare.node = 6 if bare.node != 6 else 7
+        op.insertion_offer(asks[1], 30.0)
+        assert timed == [bare.vehicle_id, bare.vehicle_id]
+        # a later step moves every resume point; each vehicle once more
+        timed.clear()
+        for r in asks[1:]:
+            op.insertion_offer(r, 60.0)
+        assert sorted(timed) == [0, 1, 2]
 
 
 def test_prefilter_times_the_approach_from_when_it_starts():
