@@ -90,6 +90,12 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
+def _check_jobs(args) -> None:
+    """``--jobs`` of game and calibrate must be an integer >= 1."""
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
+
+
 def _write_events(out: Path, events) -> Path:
     path = out / "events.jsonl"
     lines = [json.dumps(e, sort_keys=True) for e in events]
@@ -122,6 +128,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_game(args) -> int:
+    _check_jobs(args)
     doc, src = load_file(args.config)
     game_cfg = build_game(doc, src, Path(args.config).parent)
     if args.jobs is not None:
@@ -160,6 +167,7 @@ def _emit_sweep(out: Path, records, prov) -> list:
 
 
 def cmd_calibrate(args) -> int:
+    _check_jobs(args)
     doc, src = load_file(args.config)
     cal = build_calibration(doc, src, Path(args.config).parent)
     if args.target is not None:

@@ -6,12 +6,20 @@ run under identical seeds, so cell comparisons are paired.  The active
 operator adopts the cell with the highest effective profit.  Symmetric
 rest points trigger grid refinement; oscillation between adjacent cells
 ends the game with the post-first-jump parameter set for everyone.
+
+A game or a calibration runs its cells through one ``_CellRunner``.  A
+cell is deterministic in its parameters, so the runner simulates each
+distinct parameter tuple once and hands repeats the numbers it kept.
+With ``jobs > 1`` it starts one process pool for the whole game, sends
+the base config to each worker once and each cell only its parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -80,7 +88,8 @@ def _fleet_axis(center: int, step: int, count: int) -> list:
 
 
 def _simulate_cell(config: SimulationConfig):
-    """Worker entry point; returns just the numbers the turn needs."""
+    """Simulate one cell through ``run``; returns just the numbers the
+    turn needs."""
     res = run(config)
     return res.n_requests, res.operator_stats
 
@@ -97,33 +106,98 @@ def _cell_configs(base: SimulationConfig, params_by_op) -> SimulationConfig:
     return dataclasses.replace(base, operators=ops)
 
 
-def _run_cells(configs, jobs: int):
-    if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_simulate_cell, configs))
-    return [_simulate_cell(c) for c in configs]
+def _sweep_config(base: SimulationConfig, fleet_size: int) -> SimulationConfig:
+    """Base config with every operator running fleet_size vehicles."""
+    ops = [dataclasses.replace(oc, fleet_size=fleet_size, start_nodes=None)
+           for oc in base.operators]
+    return dataclasses.replace(base, operators=ops)
 
 
-def play_turn(state: GameState, config: GameConfig) -> GameState:
-    """One exhaustive-search round for the operator whose move it is."""
+# (base config, cell config maker) of a worker process, set once by its
+# pool's initializer
+_worker_base = None
+
+
+def _start_worker(base: SimulationConfig, make) -> None:
+    global _worker_base
+    _worker_base = (base, make)
+
+
+def _simulate_in_worker(key):
+    base, make = _worker_base
+    return _simulate_cell(make(base, key))
+
+
+class _CellRunner:
+    """Simulates the cells of one game or calibration, each distinct one once.
+
+    A cell is ``make(base, key)`` for a hashable key: a game's tuple of
+    every operator's ``OperatorParams``, or a calibration's fleet size.
+    Only ``(n_requests, operator_stats)`` of a cell is kept.  In process,
+    cells run through this module's ``run``; with ``jobs > 1`` a batch of
+    two or more new cells goes to one process pool, started at the first
+    such batch with at most ``min(jobs, os.cpu_count(), cells in the
+    batch)`` workers and shut down when the runner's ``with`` block ends.
+    Workers are spawned, not forked, and each gets the base config once,
+    through the pool's initializer.
+    """
+
+    def __init__(self, base: SimulationConfig, make, jobs: int = 1):
+        self.base, self.make, self.jobs = base, make, jobs
+        self.done: dict = {}
+        self.pool = None
+
+    def __enter__(self) -> "_CellRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
+
+    def run(self, keys) -> list:
+        """(n_requests, operator_stats) of each key's cell, in key order."""
+        fresh = [k for k in dict.fromkeys(keys) if k not in self.done]
+        workers = min(self.jobs, os.cpu_count() or 1, len(fresh))
+        if workers > 1 and self.pool is None:
+            self.pool = ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_start_worker, initargs=(self.base, self.make))
+        if self.pool is not None and len(fresh) > 1:
+            results = self.pool.map(_simulate_in_worker, fresh)
+        else:
+            results = (_simulate_cell(self.make(self.base, k)) for k in fresh)
+        self.done.update(zip(fresh, results))
+        return [self.done[k] for k in keys]
+
+
+def play_turn(state: GameState, config: GameConfig,
+              cells: _CellRunner | None = None) -> GameState:
+    """One exhaustive-search round for the operator whose move it is.
+
+    ``cells`` is the game's cell runner; without one, the turn simulates
+    its cells on a runner of its own.
+    """
+    if cells is None:
+        with _CellRunner(config.base, _cell_configs, config.jobs) as cells:
+            return play_turn(state, config, cells)
     n_ops = len(state.params)
     active = state.turn % n_ops
     fleets = _fleet_axis(state.params[active].fleet_size,
                          state.fleet_step, config.fleet_count)
-    cells = []
+    grid = []
     for fleet in fleets:
         for oi, (c_dis, c_vot) in enumerate(state.objective_options):
-            cells.append((fleet, oi, OperatorParams(fleet, c_dis, c_vot)))
-    configs = []
-    for _, _, cand in cells:
+            grid.append((fleet, oi, OperatorParams(fleet, c_dis, c_vot)))
+    keys = []
+    for _, _, cand in grid:
         trial = list(state.params)
         trial[active] = cand
-        configs.append(_cell_configs(config.base, trial))
+        keys.append(tuple(trial))
     econ = config.base.econ
     horizon = config.base.horizon_s
-    results = _run_cells(configs, config.jobs)
     records = []
-    for (fleet, oi, cand), (n_req, stats) in zip(cells, results):
+    for (fleet, oi, cand), (n_req, stats) in zip(grid, cells.run(keys)):
         st = stats[active]
         bd = compute_profit(st["served_direct_distance_m"],
                             st["fleet_distance_m"], fleet, horizon, econ)
@@ -228,7 +302,7 @@ def _validate_game(config: GameConfig):
             raise GameError(f"game.initial_params[{i}]",
                             f"objective {p.objective()} is not among "
                             "objective_options")
-    for key in ("fleet_step", "fleet_count"):
+    for key in ("fleet_step", "fleet_count", "jobs"):
         if getattr(config, key) < 1:
             raise GameError(f"game.{key}", "must be >= 1")
     # a cell runs unless several operators get no turn
@@ -254,16 +328,21 @@ def run_game(config: GameConfig) -> GameState:
     params = list(config.initial_params)
     state = GameState(params=params, fleet_step=config.fleet_step,
                       objective_options=tuple(config.objective_options))
-    n_ops = len(params)
+    with _CellRunner(config.base, _cell_configs, config.jobs) as cells:
+        return _play(state, config, cells)
+
+
+def _play(state: GameState, config: GameConfig, cells: _CellRunner) -> GameState:
+    n_ops = len(state.params)
     if n_ops == 1:
-        play_turn(state, config)
+        play_turn(state, config, cells)
         state.status = "single_round"
         state.final_params = state.params[0]
         return state
 
     while state.turn < config.turn_limit:
         prev = state.params[state.turn % n_ops]
-        play_turn(state, config)
+        play_turn(state, config, cells)
         last = state.adopted[-1]
         if last["changed"]:
             own = [a for a in state.adopted
@@ -286,15 +365,6 @@ def run_game(config: GameConfig) -> GameState:
                 return state
     state.status = "turn_limit"
     return state
-
-
-def _sweep_configs(base: SimulationConfig, fleet_sizes) -> list:
-    out = []
-    for n in fleet_sizes:
-        ops = [dataclasses.replace(oc, fleet_size=n, start_nodes=None)
-               for oc in base.operators]
-        out.append(dataclasses.replace(base, operators=ops))
-    return out
 
 
 def _validate_calibration(fleet_sizes, target_service_rate: float,
@@ -348,7 +418,8 @@ def calibrate(base: SimulationConfig, fleet_sizes, target_service_rate: float,
     sizes = sorted(set(int(n) for n in fleet_sizes))
     _validate_calibration(sizes, target_service_rate, p_no_step_eur)
     econ = base.econ
-    results = _run_cells(_sweep_configs(base, sizes), jobs)
+    with _CellRunner(base, _sweep_config, jobs) as cells:
+        results = cells.run(sizes)
     records = []
     for n, (n_req, stats) in zip(sizes, results):
         served_m = sum(s["served_direct_distance_m"] for s in stats)

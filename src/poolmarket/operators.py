@@ -155,33 +155,42 @@ class _Timing:
 
     ``rules`` is (network, requests, pickup_times, constraints).  A state
     can be copied and extended again, so stops shared by many sequences
-    are timed once.
+    are timed once.  ``bad`` is (kind, request id, stop index, detail
+    template, its arguments) of the first broken rule, or None; the
+    ``violation`` built from it formats the detail only when read.
     """
 
     __slots__ = ("rules", "node", "t", "dist", "onboard", "count", "stops",
-                 "arrival_by", "pickup_by", "violation")
+                 "arrival_by", "pickup_by", "bad")
 
     def __init__(self, rules, node: int, t: float, onboard):
         self.rules, self.node, self.t, self.dist = rules, node, t, 0.0
         self.onboard = set(onboard)
         self.count = len(self.onboard)
         self.stops, self.arrival_by, self.pickup_by = [], {}, {}
-        self.violation = None
+        self.bad = None
 
     def copy(self) -> "_Timing":
         new = _Timing.__new__(_Timing)
         new.rules, new.node, new.t, new.dist = self.rules, self.node, self.t, self.dist
         new.onboard, new.count, new.stops = set(self.onboard), self.count, list(self.stops)
         new.arrival_by, new.pickup_by = dict(self.arrival_by), dict(self.pickup_by)
-        new.violation = self.violation
+        new.bad = self.bad
         return new
 
-    def broken(self, kind, rid, t, detail) -> bool:
-        """Record the violation and the time ``t`` of the stop that broke
+    def broken(self, kind, rid, t, detail, *args) -> bool:
+        """Record the broken rule and the time ``t`` of the stop that broke
         it; always False, for ``extend`` to return."""
-        self.violation = Violation(kind, rid, len(self.stops), detail)
+        self.bad = (kind, rid, len(self.stops), detail, args)
         self.t = t
         return False
+
+    @property
+    def violation(self) -> Violation | None:
+        if self.bad is None:
+            return None
+        kind, rid, index, detail, args = self.bad
+        return Violation(kind, rid, index, detail.format(*args))
 
     def extend(self, specs) -> bool:
         """Time specs after the stops so far.
@@ -209,20 +218,20 @@ class _Timing:
                     return self.broken("precedence", rid, t, "no pickup time")
                 limit = (1.0 + cons.max_detour_rel) * requests[rid].direct_time_s
                 if t - picked > limit:
-                    return self.broken("detour", rid, t,
-                                       f"in-vehicle {t - picked:.1f}s > {limit:.1f}s")
+                    return self.broken("detour", rid, t, "in-vehicle {:.1f}s > {:.1f}s",
+                                       t - picked, limit)
             for rid in spec.board:
                 if rid in onboard:
                     return self.broken("precedence", rid, t, "boarded twice")
                 latest = requests[rid].t_req_s + cons.max_wait_s
                 if t > latest:
-                    return self.broken("wait", rid, t, f"pickup {t:.1f}s > {latest:.1f}s")
+                    return self.broken("wait", rid, t, "pickup {:.1f}s > {:.1f}s", t, latest)
                 onboard.add(rid)
                 count += 1
                 pickup_by[rid] = t
                 if count > cons.capacity:
-                    return self.broken("capacity", rid, t,
-                                       f"{count} onboard > {cons.capacity}")
+                    return self.broken("capacity", rid, t, "{} onboard > {}",
+                                       count, cons.capacity)
             stops.append(Stop(spec.node, tuple(spec.board), tuple(spec.alight), t))
             if spec.board or spec.alight:
                 t += cons.dwell_s
@@ -398,7 +407,7 @@ class Operator:
                 mid = head.copy()
                 mid.rules = rules
                 if not mid.extend(pick):
-                    if mid.violation.kind == "wait" and mid.t - deadline > _FIFO_MARGIN_S:
+                    if mid.bad[0] == "wait" and mid.t - deadline > _FIFO_MARGIN_S:
                         break
                     continue
                 picked = mid.pickup_by[rid]
@@ -407,8 +416,8 @@ class Operator:
                         break
                     cand = mid.copy()
                     if not cand.extend(drop + base[d_pos:]):
-                        bad = cand.violation
-                        if (bad.kind == "detour" and bad.request_id == rid
+                        kind, bad_rid = cand.bad[:2]
+                        if (kind == "detour" and bad_rid == rid
                                 and cand.t - picked - ride_limit > _FIFO_MARGIN_S):
                             break
                         continue

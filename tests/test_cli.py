@@ -226,6 +226,8 @@ _BAD_GAME_OR_CALIBRATION = [
     ("game", "game.objective_options[1][0]",
      "game:\n  objective_options:\n    - [0.25, 16.2]\n    - [-0.5, 16.2]\n",
      "-0.5"),
+    ("game", "game.jobs", "game:\n  jobs: 0\n", "jobs: 0"),
+    ("game", "game.jobs", "game:\n  jobs: -3\n", "jobs: -3"),
     ("calibrate", "calibration.target_service_rate",
      "calibration:\n  fleet_sizes: [1, 2]\n  target_service_rate: 1.5\n",
      "1.5"),
@@ -455,6 +457,9 @@ def test_scenario_override_hits_runtime_validation(cfg_path, tmp_path,
     (["gen-demand", "--rate", "0", "--horizon", "600"], "--rate"),
     (["gen-demand", "--rate", "inf", "--horizon", "600"], "--rate"),
     (["calibrate", "--target", "1.5"], "--target"),
+    (["game", "--jobs", "0"], "--jobs"),
+    (["game", "--jobs", "-3"], "--jobs"),
+    (["calibrate", "--jobs", "0"], "--jobs"),
 ])
 def test_bad_overrides_exit_two_naming_the_flag(tmp_path, capsys, argv, flag):
     p = tmp_path / "toy.yaml"

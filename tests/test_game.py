@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poolmarket import game
 from poolmarket.demand import RawTrip
 from poolmarket.game import (
     CalibrationError,
@@ -174,6 +175,11 @@ def test_game_rejects_bad_configs():
                             initial_params=(OperatorParams(1),
                                             OperatorParams(1)),
                             fleet_step=0))
+    with pytest.raises(GameError, match="game.jobs"):
+        run_game(GameConfig(base=toy_base(),
+                            initial_params=(OperatorParams(1),
+                                            OperatorParams(1)),
+                            jobs=0))
 
 
 def test_parallel_turns_match_serial():
@@ -186,6 +192,97 @@ def test_parallel_turns_match_serial():
     assert a.history == b.history
     assert a.params == b.params
     assert a.status == b.status
+
+
+def _count_cells(monkeypatch):
+    """Operator parameters of every cell simulated through ``game.run``."""
+    played, seen = game.run, []
+
+    def counted(config):
+        seen.append(tuple((op.fleet_size, op.c_dis_eur_per_km, op.c_vot_eur_per_h)
+                          for op in config.operators))
+        return played(config)
+    monkeypatch.setattr(game, "run", counted)
+    return seen
+
+
+def test_a_game_simulates_each_distinct_cell_once(monkeypatch):
+    seen = _count_cells(monkeypatch)
+    state = run_game(GameConfig(
+        base=toy_base("user_decision", trips=None, demand_rate_per_hour=15.0),
+        initial_params=(OperatorParams(2), OperatorParams(2)),
+        fleet_step=1, fleet_count=3, turn_limit=3))
+    assert state.turn == 3
+    # one history row per cell of every turn, repeats included
+    assert [r["turn"] for r in state.history] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert len(seen) == len(set(seen)) < len(state.history)
+
+
+def test_calibration_sweep_matches_across_job_counts():
+    base = toy_base("independent", trips=None, demand_rate_per_hour=30.0)
+    serial = calibrate(base, [1, 2, 3], 0.3)
+    fanned = calibrate(base, [1, 2, 3], 0.3, jobs=2)
+    assert serial == fanned
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its arguments and runs
+    the tasks in this process, so no worker is ever started."""
+
+    started: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.max_workers, self.tasks, self.shut = max_workers, [], False
+        self.start_method = mp_context.get_start_method()
+        _FakePool.started.append(self)
+        initializer(*initargs)
+
+    def map(self, fn, keys):
+        keys = list(keys)
+        self.tasks += keys
+        return [fn(k) for k in keys]
+
+    def shutdown(self):
+        self.shut = True
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    monkeypatch.setattr(game, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(game, "_worker_base", None)
+    monkeypatch.setattr(game.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(_FakePool, "started", [])
+    return _FakePool.started
+
+
+def test_one_capped_pool_per_game_and_tasks_carry_only_params(fake_pool):
+    state = run_game(GameConfig(
+        base=toy_base("user_decision", trips=None, demand_rate_per_hour=15.0),
+        initial_params=(OperatorParams(2), OperatorParams(2)),
+        fleet_step=1, fleet_count=3, turn_limit=3, jobs=5000))
+    assert state.turn == 3
+    [pool] = fake_pool
+    # the first turn's three cells are all new
+    assert (pool.max_workers, pool.start_method) == (3, "spawn")
+    assert pool.shut
+    assert all(isinstance(k, tuple) and len(k) == 2
+               and all(isinstance(p, OperatorParams) for p in k)
+               for k in pool.tasks)
+    assert len(pool.tasks) == len(set(pool.tasks))
+
+
+def test_pool_is_capped_by_cpu_count_and_calibration_sends_sizes(fake_pool):
+    base = toy_base("single")
+    calibrate(base, list(range(1, 11)), 1.0, jobs=5000)
+    [pool] = fake_pool
+    assert pool.max_workers == 8
+    assert pool.tasks == list(range(1, 11))
+    assert pool.shut
+
+
+def test_one_job_starts_no_pool(fake_pool):
+    calibrate(toy_base("single"), [1, 2, 3], 1.0, jobs=1)
+    assert fake_pool == []
 
 
 def test_calibration_properties_on_sweep():

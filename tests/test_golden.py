@@ -8,8 +8,12 @@ constant here and says why.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from poolmarket.game import GameConfig, OperatorParams, calibrate, run_game
 from poolmarket.network import TravelTimeProfile
 from poolmarket.simcore import OperatorConfig, SimulationConfig, run
 
@@ -45,3 +49,44 @@ def test_fingerprint_is_pinned(scenario):
     assert {"board", "alight", "reopt", "reposition"} <= kinds
     assert result.n_served > 0
     assert result.fingerprint == GOLDEN[scenario]
+
+
+# sha256 of a game's history, status, turn and final parameters, and of a
+# calibration's records; cells repeat across the game's turns, so reusing
+# a cell's numbers instead of simulating it again must leave these alone
+GAME_GOLDEN = "df9bde998f863fe023894d9b13fab010c80286c057eeea4ac88f3b911ee99ed5"
+CALIBRATION_GOLDEN = "044d6b76a6eb88759b9019aa12f5a9620b038886ac45fd6d8e152ae2b21c5d56"
+
+
+def _sha256(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_game_config():
+    base = SimulationConfig(
+        network=make_grid_network(4, 5), scenario="user_decision",
+        horizon_s=1800.0, operators=[OperatorConfig(1), OperatorConfig(1)],
+        demand_rate_per_hour=40.0, master_seed=1, reposition_enabled=False)
+    return GameConfig(base=base,
+                      initial_params=(OperatorParams(2), OperatorParams(2)),
+                      fleet_step=1, fleet_count=3,
+                      objective_options=((0.25, 16.2), (0.25, 8.1)),
+                      turn_limit=6)
+
+
+def test_game_outputs_are_pinned():
+    state = run_game(golden_game_config())
+    assert (state.status, state.turn, state.level) == ("equilibrium", 6, 3)
+    assert _sha256({"history": state.history, "status": state.status,
+                    "turn": state.turn,
+                    "final": repr(state.final_params)}) == GAME_GOLDEN
+
+
+def test_calibration_records_are_pinned():
+    base = SimulationConfig(
+        network=make_grid_network(4, 5), scenario="independent",
+        horizon_s=1800.0, operators=[OperatorConfig(1), OperatorConfig(1)],
+        demand_rate_per_hour=50.0, master_seed=9, reposition_enabled=False)
+    out = calibrate(base, [1, 2, 3, 4], 0.6)
+    assert _sha256(out["records"]) == CALIBRATION_GOLDEN

@@ -192,6 +192,30 @@ def test_rider_without_pickup_time_is_a_precedence_violation(line10):
         "precedence", 1, 0, "no pickup time")
 
 
+def test_rule_details_are_formatted_when_read(line10):
+    """The wait, detour and capacity details, as ``repr`` shows them."""
+    r1 = req(1, 0.0, 0, 2, line10)
+    far = req(1, 0.0, 9, 2, line10)
+    pair = {1: req(1, 0.0, 1, 2, line10), 2: req(2, 0.0, 1, 3, line10)}
+    wait = plan_stop_sequence(line10, Vehicle(0, 0), [StopSpec(9, board=(1,)),
+                                                      StopSpec(2, alight=(1,))],
+                              13.37, {1: far}, {}, Constraints())[1]
+    detour = plan_stop_sequence(line10, Vehicle(0, 1, onboard={1}),
+                                [StopSpec(5), StopSpec(2, alight=(1,))], 50.0,
+                                {1: r1}, {1: 0.0}, Constraints())[1]
+    capacity = plan_stop_sequence(line10, Vehicle(0, 0),
+                                  [StopSpec(1, board=(1, 2)), StopSpec(2, alight=(1,)),
+                                   StopSpec(3, alight=(2,))], 0.0, pair, {},
+                                  Constraints(capacity=1))[1]
+    assert [repr(v) for v in (wait, detour, capacity)] == [
+        "Violation(kind='wait', request_id=1, stop_index=0, "
+        "detail='pickup 463.4s > 360.0s')",
+        "Violation(kind='detour', request_id=1, stop_index=1, "
+        "detail='in-vehicle 400.0s > 140.0s')",
+        "Violation(kind='capacity', request_id=2, stop_index=0, detail='2 onboard > 1')",
+    ]
+
+
 def test_onboard_customer_detour_uses_actual_pickup(line10):
     # customer 1 already riding since t=0 with direct time 100 s; sending the
     # vehicle the long way round must trip the detour check
